@@ -143,6 +143,14 @@ type event =
   | Halt of int  (** processor fault: stop dispatching on this processor *)
   | Restore of int  (** lift a [Halt]: the processor dispatches again *)
 
+(* One directed link: its gap structure (retired behind the clock) and the
+   kernel's own counters for it. *)
+type link = {
+  mutable occ : Support.Intervals.t;
+  mutable transfers : int;
+  mutable live_hw : int;  (* most live intervals held at once *)
+}
+
 type t = {
   arch : Archi.t;
   mutable processes : process array;
@@ -157,11 +165,12 @@ type t = {
   mutable delayed_msgs : int;
   mutable dup_msgs : int;
   ready : (pid * int * resume) Queue.t array;  (* (pid, epoch, resume) *)
-  link_busy : (int * int, Support.Intervals.t ref) Hashtbl.t;
-  link_transfers : (int * int, int) Hashtbl.t;
+  links : (int * int, link) Hashtbl.t;
   port_depth : (pid * string, int) Hashtbl.t;  (* high-water queue depth *)
   mutable time : float;
   mutable ran : bool;
+  mutable events_run : int;
+  mutable queue_hw : int;
   mutable messages : int;
   mutable bytes : int;
   mutable hops_total : int;
@@ -194,11 +203,12 @@ let create ?(trace = false) ?(trace_limit = 20000) arch =
     delayed_msgs = 0;
     dup_msgs = 0;
     ready = Array.init n (fun _ -> Queue.create ());
-    link_busy = Hashtbl.create 16;
-    link_transfers = Hashtbl.create 16;
+    links = Hashtbl.create 16;
     port_depth = Hashtbl.create 32;
     time = 0.0;
     ran = false;
+    events_run = 0;
+    queue_hw = 0;
     messages = 0;
     bytes = 0;
     hops_total = 0;
@@ -296,25 +306,38 @@ let pop_message (proc : process) port =
   if proc.durable then proc.journal <- (port, at, msg, v) :: proc.journal;
   (msg, v)
 
-let push_event t at ev = Support.Pqueue.push t.events at ev
+let push_event t at ev =
+  Support.Pqueue.push t.events at ev;
+  let n = Support.Pqueue.length t.events in
+  if n > t.queue_hw then t.queue_hw <- n
 
 let make_ready t (proc : process) resume =
   Queue.add (proc.pid, proc.epoch, resume) t.ready.(proc.on);
   push_event t t.time (Dispatch proc.on)
 
 (* Reserve [duration] on link [key] no earlier than [earliest] (first-fit
-   into the link's gap structure). Returns the start of the reservation. *)
+   into the link's gap structure). Returns the start of the reservation.
+   Every transfer departs at or after the clock, which never goes back, so
+   the intervals that end at or before it can no longer affect a first fit
+   and are retired first (the Support.Intervals watermark contract). *)
 let reserve_link t key earliest duration =
-  let intervals =
-    match Hashtbl.find_opt t.link_busy key with
-    | Some r -> r
+  let l =
+    match Hashtbl.find_opt t.links key with
+    | Some l -> l
     | None ->
-        let r = ref Support.Intervals.empty in
-        Hashtbl.replace t.link_busy key r;
-        r
+        let l = { occ = Support.Intervals.empty; transfers = 0; live_hw = 0 } in
+        Hashtbl.replace t.links key l;
+        l
   in
-  let start, updated = Support.Intervals.reserve !intervals ~earliest ~duration in
-  intervals := updated;
+  let start, occ =
+    Support.Intervals.reserve
+      (Support.Intervals.retire l.occ ~before:t.time)
+      ~earliest ~duration
+  in
+  l.occ <- occ;
+  l.transfers <- l.transfers + 1;
+  let live = List.length (Support.Intervals.live occ) in
+  if live > l.live_hw then l.live_hw <- live;
   start
 
 (* Physical transfer of [bytes_n] bytes from processor [src] to [dst],
@@ -337,8 +360,6 @@ let transfer t ~msg ~sender src dst bytes_n depart =
           in
           let start = reserve_link t (a, b) depart duration in
           t.hops_total <- t.hops_total + 1;
-          Hashtbl.replace t.link_transfers (a, b)
-            (1 + Option.value ~default:0 (Hashtbl.find_opt t.link_transfers (a, b)));
           record t
             {
               time = start;
@@ -712,6 +733,7 @@ let run ?(until = infinity) t =
     | Some _ ->
         let at, ev = Option.get (Support.Pqueue.pop t.events) in
         t.time <- Float.max t.time at;
+        t.events_run <- t.events_run + 1;
         (match ev with
         | Dispatch p -> dispatch t p
         | Step (pid, epoch, resume) ->
@@ -967,13 +989,34 @@ let accounts t =
 
 let link_occupancy t =
   Hashtbl.fold
-    (fun key intervals acc ->
-      let transfers =
-        Option.value ~default:0 (Hashtbl.find_opt t.link_transfers key)
-      in
-      (key, Support.Intervals.total !intervals, transfers) :: acc)
-    t.link_busy []
+    (fun key l acc -> (key, Support.Intervals.total l.occ, l.transfers) :: acc)
+    t.links []
   |> List.sort compare
+
+type link_counters = {
+  link : int * int;
+  reservations : int;
+  live_high_water : int;
+}
+
+type kernel_counters = {
+  events_dispatched : int;
+  queue_high_water : int;
+  per_link : link_counters list;
+}
+
+let kernel_counters t =
+  {
+    events_dispatched = t.events_run;
+    queue_high_water = t.queue_hw;
+    per_link =
+      Hashtbl.fold
+        (fun link l acc ->
+          { link; reservations = l.transfers; live_high_water = l.live_hw }
+          :: acc)
+        t.links []
+      |> List.sort compare;
+  }
 
 let port_depths t =
   Hashtbl.fold

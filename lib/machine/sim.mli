@@ -317,6 +317,26 @@ val link_occupancy : t -> ((int * int) * float * int) list
 (** Per directed link [(src, dst)]: total occupied seconds and number of
     transfers, sorted by link; only links that carried traffic appear. *)
 
+(** The simulator kernel's own counters, kept apart from {!stats} and from
+    every deterministic report: they describe the kernel's work, not the
+    simulated machine. *)
+type link_counters = {
+  link : int * int;  (** directed [(src, dst)] processors *)
+  reservations : int;  (** link reservations made (one per hop) *)
+  live_high_water : int;
+      (** most busy intervals the link's gap structure held at once — the
+          reservations still in flight, since finished ones are retired
+          behind the clock; bounded on a steady stream *)
+}
+
+type kernel_counters = {
+  events_dispatched : int;  (** events popped from the event queue *)
+  queue_high_water : int;  (** most events queued at once *)
+  per_link : link_counters list;  (** sorted by link; links that carried traffic *)
+}
+
+val kernel_counters : t -> kernel_counters
+
 val port_depths : t -> ((string * string) * int) list
 (** High-water mailbox depth per [(process name, port)], sorted — a depth
     over 1 means messages queued faster than the process consumed them. *)

@@ -535,6 +535,9 @@ let handle_batch s ~client payload =
 (* Server loop                                                         *)
 
 let serve cfg ~socket () =
+  (* A reply written to a client that already hung up must fail with EPIPE
+     (the client_io_error branch below), not kill the process by signal. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let s = make_server cfg in

@@ -107,7 +107,11 @@ val serve : config -> socket:string -> unit -> int
     a time, in arrival order. The socket file is removed on exit, also on
     exceptions. Store counters are mirrored into the registry one last time
     before returning, so a caller-supplied [config.metrics] is
-    scrape-ready after shutdown. *)
+    scrape-ready after shutdown.
+
+    Sets [SIGPIPE] to ignored for the whole process, so a client that hangs
+    up before its reply costs only a logged, counted [client_io_error]
+    instead of killing the daemon. *)
 
 val render_top : Support.Json.t -> string
 (** Renders a [stats] response as the one-screen [skipperc top] dashboard:

@@ -84,6 +84,19 @@ let capture_log () =
   in
   (log, fun () -> List.rev !lines)
 
+(* A raw client connection, retried until the daemon is listening. *)
+let connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rec retry n =
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | () -> ()
+    | exception Unix.Unix_error ((ENOENT | ECONNREFUSED), _, _) when n > 0 ->
+        Unix.sleepf 0.05;
+        retry (n - 1)
+  in
+  retry 100;
+  fd
+
 let test_serve_end_to_end () =
   let socket = tmp_name "skipper-test-serve.sock" in
   let store_dir = tmp_name "skipper-test-serve-store" in
@@ -237,18 +250,6 @@ let test_concurrent_clients () =
     }
   in
   let daemon = Domain.spawn (fun () -> Serve.serve cfg ~socket ()) in
-  let connect () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let rec retry n =
-      match Unix.connect fd (Unix.ADDR_UNIX socket) with
-      | () -> ()
-      | exception Unix.Unix_error ((ENOENT | ECONNREFUSED), _, _) when n > 0 ->
-          Unix.sleepf 0.05;
-          retry (n - 1)
-    in
-    retry 100;
-    fd
-  in
   let send_frame fd j =
     let body = Bytes.of_string (Json.to_string j) in
     let hdr = Bytes.create 4 in
@@ -275,7 +276,7 @@ let test_concurrent_clients () =
     | Error m -> Alcotest.failf "bad response frame: %s" m
   in
   (* A connects and goes idle *)
-  let a = connect () in
+  let a = connect socket in
   (* B connects later and must be served while A still holds its
      connection open *)
   (match Serve.call ~socket [ Serve.req_stats ] with
@@ -373,6 +374,79 @@ let test_aborted_frames () =
       (log_lines ())
   in
   Alcotest.(check int) "both aborts logged" 2 (List.length aborted_logged)
+
+(* Regression: a client that sends a batch and disconnects without reading
+   the reply. The daemon's reply write then hits a closed socket; with
+   SIGPIPE at its default disposition that signal killed the whole process
+   (exit status 141). The daemon must instead count a client I/O error,
+   answer the next client, and shut down cleanly — logging [shutdown] and
+   syncing the store counters into its registry. *)
+let test_client_gone_before_reply () =
+  let socket = tmp_name "skipper-test-serve-epipe.sock" in
+  let store_dir = tmp_name "skipper-test-serve-epipe-store" in
+  let store =
+    Support.Store.open_store ~dir:store_dir ~stamp:Passes.artifact_format ()
+  in
+  let log, log_lines = capture_log () in
+  let reg = Support.Metrics.create () in
+  let cfg =
+    {
+      Serve.table_of = (fun _ -> simple_table ());
+      input_of = (fun _ -> Some (V.List [ V.Int 1; V.Int 2; V.Int 3 ]));
+      arch_of = Archi.ring;
+      store = Some store;
+      jobs = 1;
+      log;
+      metrics = Some reg;
+      timeline = None;
+    }
+  in
+  let daemon = Domain.spawn (fun () -> Serve.serve cfg ~socket ()) in
+  let gone = connect socket in
+  let body =
+    Json.to_string
+      (Json.Obj
+         [
+           ( "requests",
+             Json.Arr
+               [
+                 Serve.req_compile ~frames:2 ~app:"simple" simple_src;
+                 Serve.req_run ~frames:2 ~procs:4 ~app:"simple" simple_src;
+               ] );
+         ])
+  in
+  let frame = Bytes.create (4 + String.length body) in
+  Bytes.set_int32_be frame 0 (Int32.of_int (String.length body));
+  Bytes.blit_string body 0 frame 4 (String.length body);
+  ignore (Unix.write gone frame 0 (Bytes.length frame));
+  Unix.close gone;
+  (match Serve.call ~socket [ Serve.req_compile ~frames:2 ~app:"simple" simple_src ] with
+  | Ok [ r ] ->
+      Alcotest.(check string) "next client answered" "ok" (str "status" r)
+  | Ok rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+  | Error m -> Alcotest.failf "next client failed: %s" m);
+  ignore (Serve.call ~socket [ Serve.req_shutdown ]);
+  let served = Domain.join daemon in
+  Alcotest.(check int) "both batches served" 4 served;
+  let events =
+    List.filter_map
+      (fun l ->
+        match Json.parse l with
+        | Ok j -> Json.member "event" j |> Option.map Json.to_str |> Option.join
+        | Error _ -> None)
+      (log_lines ())
+  in
+  Alcotest.(check bool) "reply to the departed client counted as an I/O error"
+    true
+    (List.mem "client_io_error" events);
+  Alcotest.(check bool) "shutdown logged" true (List.mem "shutdown" events);
+  let c = Support.Store.counters store in
+  let synced name = Support.Metrics.value (Support.Metrics.counter reg name) in
+  Alcotest.(check bool) "store saw traffic" true (c.Support.Store.misses > 0);
+  Alcotest.(check int) "store misses synced at shutdown" c.Support.Store.misses
+    (synced "skipper_store_misses_total");
+  Alcotest.(check int) "store hits synced at shutdown" c.Support.Store.hits
+    (synced "skipper_store_hits_total")
 
 (* The metrics op: a Prometheus exposition whose per-op request histogram
    counts exactly the requests served, plus the skipperc-top rendering of
@@ -532,6 +606,8 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;
           Alcotest.test_case "aborted frames" `Quick test_aborted_frames;
+          Alcotest.test_case "client gone before its reply" `Quick
+            test_client_gone_before_reply;
           Alcotest.test_case "metrics op and top" `Quick test_metrics_op;
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
         ] );

@@ -102,6 +102,54 @@ let test_corpus_through_pool () =
     (List.map (fun spec () -> check_spec spec ()) (spec_files ()))
   |> List.iter (fun () -> ())
 
+(* The simulator kernel's work is linear in stream length: finished link
+   reservations retire behind the clock, so a link's gap structure holds
+   only the transfers in flight. Sixteen times the frames makes about
+   sixteen times the reservations, while the live-interval high-water stays
+   put (an unretired structure would hold every reservation ever made).
+   Counts, not times, so the check holds on any host. *)
+let test_kernel_live_intervals_bounded () =
+  let counters frames =
+    match (specs_dir, harness_for "expgain.mls") with
+    | Some dir, Some (table, input, _) ->
+        let compiled =
+          P.compile_source ~frames ~table (read (Filename.concat dir "expgain.mls"))
+        in
+        let result =
+          P.execute ~strategy:"canonical" ?input compiled (Archi.ring 8)
+        in
+        Machine.Sim.kernel_counters result.Executive.sim
+    | _ -> Alcotest.fail "expgain.mls and its harness must be present"
+  in
+  let sum f (k : Machine.Sim.kernel_counters) =
+    List.fold_left (fun acc l -> acc + f l) 0 k.Machine.Sim.per_link
+  in
+  let reservations = sum (fun l -> l.Machine.Sim.reservations) in
+  let live_hw (k : Machine.Sim.kernel_counters) =
+    List.fold_left
+      (fun acc l -> max acc l.Machine.Sim.live_high_water)
+      0 k.Machine.Sim.per_link
+  in
+  let short = counters 20 and long = counters 320 in
+  Alcotest.(check bool) "links carried traffic" true (reservations short > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "reservations grow with the stream (%d -> %d)"
+       (reservations short) (reservations long))
+    true
+    (reservations long >= 12 * reservations short);
+  Alcotest.(check bool)
+    (Printf.sprintf "events grow with the stream (%d -> %d)"
+       short.Machine.Sim.events_dispatched long.Machine.Sim.events_dispatched)
+    true
+    (long.Machine.Sim.events_dispatched >= 12 * short.Machine.Sim.events_dispatched);
+  Alcotest.(check bool)
+    (Printf.sprintf "live-interval high-water stays bounded (%d -> %d)"
+       (live_hw short) (live_hw long))
+    true
+    (live_hw long <= 2 * live_hw short);
+  Alcotest.(check bool) "event queue high-water observed" true
+    (long.Machine.Sim.queue_high_water > 0)
+
 let () =
   let per_spec =
     List.map
@@ -112,6 +160,11 @@ let () =
     [
       ("corpus", [ Alcotest.test_case "present and covered" `Quick test_corpus_is_present ]);
       ("end-to-end", per_spec);
+      ( "kernel",
+        [
+          Alcotest.test_case "live link intervals bounded" `Quick
+            test_kernel_live_intervals_bounded;
+        ] );
       ( "pooled",
         [ Alcotest.test_case "corpus as a farmed sweep" `Quick test_corpus_through_pool ] );
     ]

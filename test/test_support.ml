@@ -202,7 +202,108 @@ let prop_intervals_no_overlap_with_request =
       start >= earliest
       && List.for_all
            (fun (s, e) -> start +. duration <= s +. 1e-9 || start >= e -. 1e-9)
-           occ)
+           (Support.Intervals.live occ))
+
+(* Retiring behind a non-decreasing watermark is exact: a structure retired
+   at the watermark before every reservation grants the very starts an
+   unretired one does, keeps the same live tail and sums to a bit-identical
+   total. Requests never start below the watermark (the retire contract).
+   The generator mixes zero-length requests, durations below [eps], and
+   requests that touch an earlier reservation's end exactly or within [eps]
+   on either side. *)
+let prop_intervals_retire_equivalent =
+  let eps = 1e-15 in
+  let step =
+    QCheck.Gen.(
+      quad
+        (frequency [ (2, return 0.0); (3, float_bound_inclusive 3.0) ])
+        (frequency
+           [ (2, return `Watermark); (3, map (fun x -> `Ahead x) (float_bound_inclusive 6.0));
+             (3, map (fun j -> `Touch j) (oneofl [ 0.0; eps /. 2.0; -.(eps /. 2.0) ])) ])
+        (frequency
+           [ (1, return 0.0); (1, return (eps /. 4.0)); (4, float_bound_inclusive 2.0) ])
+        (int_bound 3))
+  in
+  let print_step (dw, where, d, back) =
+    let where =
+      match where with
+      | `Watermark -> "at watermark"
+      | `Ahead x -> Printf.sprintf "ahead %h" x
+      | `Touch j -> Printf.sprintf "touch end[%d] %+h" back j
+    in
+    Printf.sprintf "(+%h, %s, d=%h)" dw where d
+  in
+  QCheck.Test.make ~name:"retiring behind the watermark changes no start or total"
+    ~count:500
+    (QCheck.make ~print:QCheck.Print.(list print_step) QCheck.Gen.(list_size (int_bound 120) step))
+    (fun steps ->
+      let module I = Support.Intervals in
+      (* the retired structure's live list is the tail of the unretired one *)
+      let live_suffix full tail =
+        let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+        let extra = List.length full - List.length tail in
+        extra >= 0
+        && List.equal
+             (fun (a, b) (c, d) -> Float.equal a c && Float.equal b d)
+             (drop extra full) tail
+      in
+      let rec go plain retired watermark ends = function
+        | [] -> true
+        | (dw, where, duration, back) :: rest ->
+            let watermark = watermark +. dw in
+            let earliest =
+              match where with
+              | `Watermark -> watermark
+              | `Ahead x -> watermark +. x
+              | `Touch jitter -> (
+                  (* the end of a recent reservation, nudged by [jitter] *)
+                  match List.nth_opt ends back with
+                  | Some e -> Float.max watermark (e +. jitter)
+                  | None -> watermark)
+            in
+            let s1, plain = I.reserve plain ~earliest ~duration in
+            let s2, retired =
+              I.reserve (I.retire retired ~before:watermark) ~earliest ~duration
+            in
+            Float.equal s1 s2
+            && Float.equal (I.total plain) (I.total retired)
+            && live_suffix (I.live plain) (I.live retired)
+            && go plain retired watermark ((s1 +. duration) :: ends) rest
+      in
+      go I.empty I.empty 0.0 [] steps)
+
+(* The static scheduler never retires, so its lists grow with the schedule;
+   reservation must run in constant stack. 10^6 reservations each land at
+   the head (descending times), then a few land past the end, walking the
+   whole list, under a 512 KiB stack that a non-tail-recursive insert
+   overflows. *)
+let test_intervals_deep_no_retire () =
+  let module I = Support.Intervals in
+  let n = 1_000_000 in
+  let gc = Gc.get () in
+  let occ =
+    Fun.protect
+      ~finally:(fun () -> Gc.set gc)
+      (fun () ->
+        Gc.set { gc with Gc.stack_limit = 1 lsl 16 };
+        let occ = ref I.empty in
+        for i = n downto 1 do
+          let earliest = 2.0 *. float_of_int i in
+          let start, o = I.reserve !occ ~earliest ~duration:1.0 in
+          if start <> earliest then Alcotest.failf "slot %d moved to %g" i start;
+          occ := o
+        done;
+        for k = 1 to 3 do
+          let earliest = 2.0 *. float_of_int (n + k) in
+          let start, o = I.reserve !occ ~earliest ~duration:1.0 in
+          Alcotest.(check (float 0.0)) "tail slot" earliest start;
+          occ := o
+        done;
+        Alcotest.(check bool) "still valid" true (I.valid !occ);
+        !occ)
+  in
+  Alcotest.(check int) "every interval live" (n + 3) (List.length (I.live occ));
+  Alcotest.(check (float 0.0)) "total" (float_of_int (n + 3)) (I.total occ)
 
 (* --- JSON escapes --- *)
 
@@ -378,6 +479,9 @@ let () =
           Alcotest.test_case "total" `Quick test_intervals_total;
           QCheck_alcotest.to_alcotest prop_intervals_stay_valid;
           QCheck_alcotest.to_alcotest prop_intervals_no_overlap_with_request;
+          QCheck_alcotest.to_alcotest prop_intervals_retire_equivalent;
+          Alcotest.test_case "deep list without retiring" `Quick
+            test_intervals_deep_no_retire;
         ] );
       ( "json",
         [
