@@ -621,7 +621,7 @@ let e9 () =
   let macro = Skipper_lib.Pipeline.macro_code compiled sched in
   let input = Option.get compiled.Skipper_lib.Pipeline.input in
   let seq = Skipper_lib.Pipeline.emulate compiled input in
-  let r = Skipper_lib.Pipeline.execute ~trace:(tracing ()) ~input compiled arch in
+  let _, r = Skipper_lib.Pipeline.execute ~trace:(tracing ()) ~input compiled arch in
   observe ~experiment:"e9" r;
   Format.printf "%a" Skipper_lib.Pipeline.pp_timings compiled;
   Printf.printf "macro-code size: %d lines\n"
@@ -791,11 +791,8 @@ let e10 () =
     "mapper shoot-out: every registered strategy on a saturated 6-stage \
      pipeline and on the paced tracking application";
   let mappers = Syndex.Mapper.names () in
-  let conformance_of ~schedule ?input_period (r : Executive.result) =
-    match
-      Machine.Profile.conformance ~schedule
-        ~output_times:r.Executive.output_times ?input_period r.Executive.sim
-    with
+  let conformance_of ~schedule r =
+    match Executive.conformance ~schedule r with
     | Ok rep -> rep
     | Error msg -> failwith msg
   in
@@ -835,7 +832,7 @@ let e10 () =
         let arch = Archi.ring 8 in
         let cost = Syndex.Cost.make ~fn_cycles:(fun _ -> Some stage_cycles) () in
         let schedule, r =
-          Skipper_lib.Pipeline.execute_with_schedule ~trace:true ~strategy ~cost
+          Skipper_lib.Pipeline.execute ~trace:true ~strategy ~cost
             ~input:(V.Int 0) compiled arch
         in
         let rep = conformance_of ~schedule r in
@@ -895,12 +892,12 @@ let e10 () =
           Skipper_lib.Pipeline.compile_ir ~table (Tracking.Funcs.ir ~frames config)
         in
         let schedule, r =
-          Skipper_lib.Pipeline.execute_with_schedule ~trace:true ~strategy
+          Skipper_lib.Pipeline.execute ~trace:true ~strategy
             ~input_period:0.04
             ~input:(Tracking.Funcs.input_value config)
             compiled arch
         in
-        let rep = conformance_of ~schedule ~input_period:0.04 r in
+        let rep = conformance_of ~schedule r in
         (strategy, schedule, r, rep, if strategy = "heft" then Some ("e10", r) else None))
   in
   Printf.printf "\ntracking application, ring %d, %d frames at 25 fps:\n"
@@ -1005,7 +1002,7 @@ let e12 () =
   let measure optimize =
     let t, prog = build () in
     let compiled = Skipper_lib.Pipeline.compile_ir ~optimize ~table:t prog in
-    let r =
+    let _, r =
       Skipper_lib.Pipeline.execute
         ~trace:(optimize && tracing ())
         ~input:(V.Int 1) compiled arch
@@ -1102,8 +1099,7 @@ let e14 () =
   in
   let input = V.List (List.init nitems (fun i -> V.Int i)) in
   let expected = V.Int (nitems * (nitems - 1) / 2) in
-  let run ?(faults = []) ?(link_faults = []) ?recovery ?input_period
-      ?observe_as () =
+  let run ?plan ?input_period ?observe_as () =
     let t = Skel.Funtable.create () in
     Skel.Funtable.register t "work" ~cost:(fun _ -> 50_000.0) (fun v -> v);
     Skel.Funtable.register t "plus" ~arity:2 ~cost:(fun _ -> 200.0) (fun v ->
@@ -1113,7 +1109,7 @@ let e14 () =
     let r =
       Executive.run
         ~trace:(observe_as <> None && tracing ())
-        ~faults ~link_faults ?recovery ?input_period ~table:t ~arch
+        ?plan ?input_period ~table:t ~arch
         ~placement:(Syndex.Place.canonical g arch)
         ~graph:g ~frames ~input ()
     in
@@ -1125,7 +1121,12 @@ let e14 () =
   (* pace and timeout derived from the healthy run so the sweep is
      self-calibrating across cost-model changes *)
   let pace = baseline.Executive.first_latency *. 1.5 in
-  let recovery = Executive.recovery (baseline.Executive.first_latency *. 0.5) in
+  let recovering =
+    {
+      Executive.no_faults with
+      recovery = Some (Executive.recovery (baseline.Executive.first_latency *. 0.5));
+    }
+  in
   let show name (r : Executive.result) =
     let outcome, frames_done =
       match r.Executive.outcome with
@@ -1143,35 +1144,41 @@ let e14 () =
   Printf.printf "%-28s %10s %6s %8s %9s %9s %7s %7s\n" "scenario" "outcome"
     "frames" "values" "dropped" "reissues" "retired" "missed";
   show "healthy" baseline;
+  let halt_p2 = [ (2, baseline.Executive.first_latency *. 0.3) ] in
+  let on_links ?schedule action =
+    {
+      recovering with
+      link_faults = [ Machine.Sim.link_fault ?schedule action ];
+    }
+  in
   let scenarios =
     [
       ( "drop 3rd task (recover)",
         fun () ->
           run
-            ~link_faults:[ Machine.Sim.link_fault ~schedule:(Machine.Sim.Nth 3)
-                             Machine.Sim.Drop ]
-            ~recovery ~input_period:pace () );
+            ~plan:(on_links ~schedule:(Machine.Sim.Nth 3) Machine.Sim.Drop)
+            ~input_period:pace () );
       ( "delay every 5th (recover)",
         fun () ->
           run
-            ~link_faults:[ Machine.Sim.link_fault ~schedule:(Machine.Sim.Every 5)
-                             (Machine.Sim.Delay (baseline.Executive.first_latency)) ]
-            ~recovery ~input_period:pace () );
+            ~plan:
+              (on_links ~schedule:(Machine.Sim.Every 5)
+                 (Machine.Sim.Delay baseline.Executive.first_latency))
+            ~input_period:pace () );
       ( "duplicate every 4th (recover)",
         fun () ->
           run
-            ~link_faults:[ Machine.Sim.link_fault ~schedule:(Machine.Sim.Every 4)
-                             Machine.Sim.Duplicate ]
-            ~recovery ~input_period:pace () );
+            ~plan:(on_links ~schedule:(Machine.Sim.Every 4) Machine.Sim.Duplicate)
+            ~input_period:pace () );
       ( "halt worker P2 (recover)",
         fun () ->
           run
-            ~faults:[ (2, baseline.Executive.first_latency *. 0.3) ]
-            ~recovery ~input_period:pace ~observe_as:"e14" () );
+            ~plan:{ recovering with faults = halt_p2 }
+            ~input_period:pace ~observe_as:"e14" () );
       ( "halt worker P2 (no recovery)",
         fun () ->
           run
-            ~faults:[ (2, baseline.Executive.first_latency *. 0.3) ]
+            ~plan:{ Executive.no_faults with faults = halt_p2 }
             ~input_period:pace () );
     ]
   in
@@ -1199,10 +1206,8 @@ let e14 () =
     (farm ~name:"e14.prob" [ 0.0; 0.02; 0.05; 0.1 ] (fun p ->
          let r, _ =
            run
-             ~link_faults:
-               [ Machine.Sim.link_fault
-                   ~schedule:(Machine.Sim.Prob (p, 42)) Machine.Sim.Drop ]
-             ~recovery ~input_period:pace ()
+             ~plan:(on_links ~schedule:(Machine.Sim.Prob (p, 42)) Machine.Sim.Drop)
+             ~input_period:pace ()
          in
          (p, r)))
 
@@ -1226,16 +1231,12 @@ let e15 () =
         let arch = Archi.ring nproc in
         let input_period = 0.04 in
         let schedule, r =
-          Skipper_lib.Pipeline.execute_with_schedule ~trace:true ~input_period
+          Skipper_lib.Pipeline.execute ~trace:true ~input_period
             ~input:(Tracking.Funcs.input_value config)
             compiled arch
         in
         let report =
-          match
-            Machine.Profile.conformance ~schedule
-              ~output_times:r.Executive.output_times ~input_period
-              r.Executive.sim
-          with
+          match Executive.conformance ~schedule r with
           | Ok rep -> rep
           | Error msg -> failwith msg
         in
@@ -1290,15 +1291,15 @@ let e16 () =
   let frames = 10 in
   let config = Tracking.Funcs.(with_nproc nproc default_config) in
   let arch = Archi.ring nproc in
-  let run ?(faults = []) ?(restores = []) ?recovery ?input_period () =
+  let run ?plan ?input_period () =
     let table = Tracking.Funcs.table config in
     let compiled =
       Skipper_lib.Pipeline.compile_ir ~table (Tracking.Funcs.ir ~frames config)
     in
-    Skipper_lib.Pipeline.execute ~trace:true ?input_period ~faults ~restores
-      ?recovery
-      ~input:(Tracking.Funcs.input_value config)
-      compiled arch
+    snd
+      (Skipper_lib.Pipeline.execute ~trace:true ?input_period ?plan
+         ~input:(Tracking.Funcs.input_value config)
+         compiled arch)
   in
   (* the unpaced probe calibrates the pace, then the healthy paced run
      calibrates the latency SLO: the experiment tracks cost-model changes
@@ -1315,6 +1316,13 @@ let e16 () =
      budget: one full pace does all three *)
   let recovery = Executive.recovery ~max_strikes:100 pace in
   let halt_at = pace *. 2.5 and restore_at = pace *. 6.5 in
+  let outage =
+    {
+      Executive.no_faults with
+      faults = [ (2, halt_at) ];
+      restores = [ (2, restore_at) ];
+    }
+  in
   let specs =
     [
       Printf.sprintf "p99_latency<%.6fms" (ms (hmax *. 1.5));
@@ -1333,15 +1341,11 @@ let e16 () =
       ( "outage P2 (recover)",
         fun () ->
           run ~input_period:pace
-            ~faults:[ (2, halt_at) ]
-            ~restores:[ (2, restore_at) ]
-            ~recovery () );
+            ~plan:{ outage with recovery = Some recovery }
+            () );
       ( "outage P2 (no recovery)",
         fun () ->
-          run ~input_period:pace
-            ~faults:[ (2, halt_at) ]
-            ~restores:[ (2, restore_at) ]
-            () );
+          run ~input_period:pace ~plan:outage () );
     ]
   in
   Printf.printf
@@ -1475,19 +1479,27 @@ let e17 () =
   let arch = Archi.ring (nworkers + 1) in
   let placement = Syndex.Place.canonical g arch in
   let input = V.List (List.init nitems (fun i -> V.Int ((7 * i) + 3))) in
-  let run ?faults ?restores ?checkpoint_every ?input_period () =
-    Executive.run ~trace:true ?faults ?restores ?checkpoint_every
-      ?input_period ~table ~arch ~placement ~graph:g ~frames ~input ()
+  let run ?plan ?input_period () =
+    Executive.run ~trace:true ?plan ?input_period ~table ~arch ~placement
+      ~graph:g ~frames ~input ()
   in
+  let every2 = { Executive.no_faults with checkpoint_every = Some 2 } in
   (* calibrate the pace from the unpaced probe, then locate the outage
      between two frame outputs of a healthy checkpointed run — the halt
      instant tracks cost-model changes instead of pinning milliseconds *)
   let probe = run () in
   let pace = probe.Executive.first_latency *. 1.5 in
-  let healthy = run ~input_period:pace ~checkpoint_every:2 () in
+  let healthy = run ~input_period:pace ~plan:every2 () in
   let times = Array.of_list healthy.Executive.output_times in
   let halt_at = (times.(4) +. times.(5)) /. 2.0 in
   let restore_at = halt_at +. pace in
+  let outage plan =
+    {
+      plan with
+      Executive.faults = [ (0, halt_at) ];
+      restores = [ (0, restore_at) ];
+    }
+  in
   Printf.printf
     "%d workers, %d frames x %d items paced at %.2f ms; master on P0: halt \
      %.2f ms, restore %.2f ms\n"
@@ -1496,16 +1508,9 @@ let e17 () =
     [
       ( "outage, no checkpoint",
         fun () ->
-          run ~input_period:pace
-            ~faults:[ (0, halt_at) ]
-            ~restores:[ (0, restore_at) ]
-            () );
+          run ~input_period:pace ~plan:(outage Executive.no_faults) () );
       ( "outage, checkpoint k=2",
-        fun () ->
-          run ~input_period:pace ~checkpoint_every:2
-            ~faults:[ (0, halt_at) ]
-            ~restores:[ (0, restore_at) ]
-            () );
+        fun () -> run ~input_period:pace ~plan:(outage every2) () );
     ]
   in
   let pct l f =

@@ -137,7 +137,10 @@ let parse_link_fault flag ~delay spec =
 
 let dup_of_drop lf = { lf with Machine.Sim.action = Machine.Sim.Duplicate }
 
-let fault_plan ~halts ~restores ~drops ~delays ~dups ~df_timeout =
+(* The run plan from the fault, recovery and checkpoint flags. It holds no
+   per-run state, so one parse serves every variant of a sweep. *)
+let fault_plan ?checkpoint_every ~halts ~restores ~drops ~delays ~dups
+    ~df_timeout () =
   let faults = List.map (parse_proc_at "halt") halts in
   let restores = List.map (parse_proc_at "restore") restores in
   let link_faults =
@@ -148,7 +151,7 @@ let fault_plan ~halts ~restores ~drops ~delays ~dups ~df_timeout =
         dups
   in
   let recovery = Option.map (fun ms -> Executive.recovery (ms /. 1e3)) df_timeout in
-  (faults, restores, link_faults, recovery)
+  { Executive.faults; restores; link_faults; recovery; checkpoint_every }
 
 let outcome_lines (r : Executive.result) =
   let b = Buffer.create 64 in
@@ -185,16 +188,29 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-(* Render the run's telemetry as (path, content, log line) triples. The
-   Chrome trace carries the whole toolchain (compile-stage spans + the
-   simulated run); the SVG Gantt shows the run alone — compile passes live
-   on a microsecond scale that would flatten the millisecond-scale
-   simulation lanes into invisibility. With [schedule]/[report] the Gantt
-   gains the predicted ghost bars and the measured critical path. Pure
-   (no writes), so farmed sweep jobs can render and let the main domain
-   write. *)
+(* Render the run's telemetry as (path, content, log line) triples, preceded
+   by a warning line when the trace hit its cap. The Chrome trace carries
+   the whole toolchain (compile-stage spans + the simulated run); the SVG
+   Gantt shows the run alone — compile passes live on a microsecond scale
+   that would flatten the millisecond-scale simulation lanes into
+   invisibility. With [schedule]/[report] the Gantt gains the predicted
+   ghost bars and the measured critical path. Pure (no writes), so farmed
+   sweep jobs can render and let the main domain print and write. *)
 let render_traces ?compiled ?schedule ?report ?slo ~trace_out ~gantt_svg
     (r : Executive.result) =
+  let warnings =
+    if
+      (trace_out <> None || gantt_svg <> None)
+      && Machine.Sim.trace_truncated r.Executive.sim
+    then
+      [
+        Printf.sprintf
+          "skipperc: warning: trace truncated at %d events; later message \
+           lifecycles are missing from the export"
+          (Machine.Sim.trace_limit r.Executive.sim);
+      ]
+    else []
+  in
   let chrome path =
     let tl =
       match compiled with
@@ -223,23 +239,19 @@ let render_traces ?compiled ?schedule ?report ?slo ~trace_out ~gantt_svg
         (path, svg, Printf.sprintf "skipperc: wrote timeline SVG to %s" path)
     | Error msg -> failwith msg
   in
-  Option.to_list (Option.map chrome trace_out)
-  @ Option.to_list (Option.map svg gantt_svg)
+  ( warnings,
+    Option.to_list (Option.map chrome trace_out)
+    @ Option.to_list (Option.map svg gantt_svg) )
 
-let export_traces ?compiled ?schedule ?report ?slo ~trace_out ~gantt_svg
-    (r : Executive.result) =
-  if trace_out <> None || gantt_svg <> None then begin
-    if Machine.Sim.trace_truncated r.Executive.sim then
-      Printf.eprintf
-        "skipperc: warning: trace truncated at %d events; later message \
-         lifecycles are missing from the export\n"
-        (Machine.Sim.trace_limit r.Executive.sim);
-    List.iter
-      (fun (path, content, log) ->
-        write_file path content;
-        Printf.eprintf "%s\n" log)
-      (render_traces ?compiled ?schedule ?report ?slo ~trace_out ~gantt_svg r)
-  end
+(* Writes happen on the main domain only, in a fixed order, so stderr and
+   the files are the same at any --jobs level. *)
+let emit_files logs files =
+  List.iter (Printf.eprintf "%s\n") logs;
+  List.iter
+    (fun (path, content, log) ->
+      write_file path content;
+      Printf.eprintf "%s\n" log)
+    files
 
 (* Windowed-series telemetry: build the series from the run, evaluate the
    SLO specs against it, and render the requested export files (format by
@@ -317,7 +329,7 @@ let print_timings c = Format.printf "%a" Skipper_lib.Pipeline.pp_timings c
 
 let dump_stage ?arch ?strategy ?input c stage =
   match Skipper_lib.Pipeline.dump_stage ?arch ?strategy ?input c stage with
-  | Ok text -> print_string text
+  | Ok text -> text
   | Error msg -> failwith msg
 
 let wrap f =
@@ -592,7 +604,7 @@ let graph_cmd =
     wrap (fun () ->
         let c = compile ~app ~frames file in
         (match dump with
-        | Some stage -> dump_stage c stage
+        | Some stage -> print_string (dump_stage c stage)
         | None -> print_string (Skipper_lib.Pipeline.graph_dot c));
         if timings then print_timings c)
   in
@@ -607,7 +619,7 @@ let map_cmd =
         let arch = topology topo procs in
         let strategy = strategy_of strat in
         (match dump with
-        | Some stage -> dump_stage ~arch ~strategy c stage
+        | Some stage -> print_string (dump_stage ~arch ~strategy c stage)
         | None ->
             let sched = Skipper_lib.Pipeline.map ~strategy c arch in
             Format.printf "%a@." Syndex.Schedule.pp_summary sched;
@@ -691,7 +703,7 @@ let run_cmd =
         (match checkpoint_every with
         | Some k when k <= 0 -> failwith "--checkpoint-every: N must be positive"
         | _ -> ());
-        (* parsed before anything runs, so a bad spec fails fast *)
+        (* parsed before anything compiles, so a bad spec fails fast *)
         let slo_specs =
           List.map
             (fun s ->
@@ -700,189 +712,129 @@ let run_cmd =
               | Error msg -> failwith msg)
             slos
         in
-        let conformance_report ~schedule ~input_period r =
-          match
-            Machine.Profile.conformance ~schedule
-              ~output_times:r.Executive.output_times ?input_period
-              r.Executive.sim
-          with
-          | Ok report -> report
-          | Error msg -> failwith msg
+        let plan =
+          fault_plan ?checkpoint_every ~halts ~restores ~drops ~delays ~dups
+            ~df_timeout ()
         in
-        match procs_list with
-        | [] -> failwith "--procs: empty list"
-        | [ procs ] ->
-            let cache = make_cache cache_dir in
-            let c = compile ~app ~frames ~optimize ?df_state ?cache file in
-            Option.iter
-              (fun cache -> Printf.eprintf "%s\n" (cache_summary cache))
-              cache;
-            let arch = topology topo procs in
-            (match dump with
+        let input_period = Option.map (fun f -> 1.0 /. f) fps in
+        let tracing =
+          trace_out <> None || gantt_svg <> None || conformance
+          || series_out <> [] || slo_specs <> []
+        in
+        let sweep =
+          match procs_list with
+          | [] -> failwith "--procs: empty list"
+          | [ _ ] -> false
+          | _ -> true
+        in
+        (* A sweep's variants must not overwrite each other's artifacts, so
+           their paths need a %{procs} template; the wall-clock-flavoured
+           flags make no sense spread over several variants. *)
+        if sweep then begin
+          if dump <> None || timings then
+            failwith "--dump-stage and --timings need a single --procs value";
+          List.iter
+            (fun (flag, path) ->
+              match path with
+              | Some p when not (has_procs_template p) ->
+                  failwith
+                    (Printf.sprintf
+                       "%s %s: a multi-count --procs sweep needs a %%{procs} \
+                        template in the path (e.g. %s)"
+                       flag p
+                       (Printf.sprintf "trace-%%{procs}%s"
+                          (Filename.extension p)))
+              | _ -> ())
+            ([ ("--trace-out", trace_out); ("--gantt-svg", gantt_svg);
+               ("--frontier-out", frontier_out) ]
+            @ List.map (fun p -> ("--series-out", Some p)) series_out)
+        end;
+        (* One self-contained job per processor count, farmed over the
+           domain pool. Each job compiles its own pipeline (a compiled
+           artifact carries a mutable report list, so variants must not
+           share one) and returns its stdout, its stderr log lines and its
+           rendered files; the main domain prints and writes them in sweep
+           order, so every output is byte-identical at any --jobs level. A
+           sweep heads each variant with its processor count. *)
+        let run_one procs =
+          let out = Buffer.create 256 in
+          if sweep then Printf.bprintf out "== --procs %d ==\n" procs;
+          let cache = make_cache cache_dir in
+          let c = compile ~app ~frames ~optimize ?df_state ?cache file in
+          (* which sweep variant warms a shared store first is a race, so
+             only a single run reports the cache *)
+          let logs =
+            if sweep then [] else Option.to_list (Option.map cache_summary cache)
+          in
+          let arch = topology topo procs in
+          let input = default_input app in
+          let at_procs = subst_procs ~procs in
+          let warnings, files =
+            match dump with
             | Some stage ->
-                dump_stage ~arch ~strategy ?input:(default_input app) c stage
+                Buffer.add_string out (dump_stage ~arch ~strategy ?input c stage);
+                ([], [])
             | None ->
-                let input_period = Option.map (fun f -> 1.0 /. f) fps in
-                let tracing =
-                  trace_out <> None || gantt_svg <> None || conformance
-                  || series_out <> [] || slo_specs <> []
-                in
-                let faults, restores, link_faults, recovery =
-                  fault_plan ~halts ~restores ~drops ~delays ~dups ~df_timeout
-                in
                 let schedule, r =
-                  Skipper_lib.Pipeline.execute_with_schedule ~trace:tracing
-                    ?input_period ~faults ~restores ~link_faults ?recovery
-                    ?checkpoint_every ~strategy ?input:(default_input app) c
-                    arch
+                  Skipper_lib.Pipeline.execute ~trace:tracing ?input_period
+                    ~plan ~strategy ?input c arch
                 in
-                Printf.printf "result: %s\n" (Skel.Value.to_string r.Executive.value);
+                Printf.bprintf out "result: %s\n"
+                  (Skel.Value.to_string r.Executive.value);
                 List.iteri
-                  (fun i l -> Printf.printf "frame %3d latency %8.2f ms\n" i (l *. 1e3))
+                  (fun i l ->
+                    Printf.bprintf out "frame %3d latency %8.2f ms\n" i
+                      (l *. 1e3))
                   r.Executive.latencies;
-                Printf.printf "messages: %d, bytes: %d\n"
+                Printf.bprintf out "messages: %d, bytes: %d\n"
                   r.Executive.stats.Machine.Sim.messages
                   r.Executive.stats.Machine.Sim.bytes;
-                print_outcome r;
+                Buffer.add_string out (outcome_lines r);
                 let report =
                   if conformance then begin
-                    let report = conformance_report ~schedule ~input_period r in
-                    print_string (Skipper_trace.Conformance.to_string report);
-                    Some report
+                    match Executive.conformance ~schedule r with
+                    | Ok report ->
+                        Buffer.add_string out
+                          (Skipper_trace.Conformance.to_string report);
+                        Some report
+                    | Error msg -> failwith msg
                   end
                   else None
                 in
                 let slo, sfiles =
-                  series_files ~series_out ~slo_specs ~series_window r
+                  series_files ~series_out:(List.map at_procs series_out)
+                    ~slo_specs ~series_window r
                 in
                 Option.iter
                   (fun rep ->
-                    print_string (Skipper_trace.Series.Slo.to_string rep))
+                    Buffer.add_string out
+                      (Skipper_trace.Series.Slo.to_string rep))
                   slo;
-                export_traces ~compiled:c ~schedule ?report ?slo ~trace_out
-                  ~gantt_svg r;
-                List.iter
-                  (fun (path, content, log) ->
-                    write_file path content;
-                    Printf.eprintf "%s\n" log)
-                  sfiles;
-                Option.iter
-                  (fun path ->
-                    let path, content, log =
-                      frontier_file ~strategy ~arch c path
-                    in
-                    write_file path content;
-                    Printf.eprintf "%s\n" log)
-                  frontier_out);
-            if timings then print_timings c
-        | _ ->
-            (* Multi-variant sweep: one self-contained job per processor
-               count, farmed over the domain pool. Each job compiles its own
-               pipeline (a compiled artifact carries a mutable report list,
-               so variants must not share one) and returns its stdout as a
-               string plus rendered artifacts as (path, content) pairs; the
-               main domain prints and writes in sweep order, so every output
-               is byte-identical at any --jobs level. Artifact paths must
-               carry a %{procs} template so variants do not overwrite each
-               other; the remaining wall-clock-flavoured flags make no sense
-               spread over several variants and are rejected. *)
-            if dump <> None || timings then
-              failwith "--dump-stage and --timings need a single --procs value";
-            List.iter
-              (fun (flag, path) ->
-                match path with
-                | Some p when not (has_procs_template p) ->
-                    failwith
-                      (Printf.sprintf
-                         "%s %s: a multi-count --procs sweep needs a %%{procs} \
-                          template in the path (e.g. %s)"
-                         flag p
-                         (Printf.sprintf "trace-%%{procs}%s"
-                            (Filename.extension p)))
-                | _ -> ())
-              ([ ("--trace-out", trace_out); ("--gantt-svg", gantt_svg);
-                 ("--frontier-out", frontier_out) ]
-              @ List.map (fun p -> ("--series-out", Some p)) series_out);
-            let run_one procs =
-              (* per-variant cache over the shared store; no summary line —
-                 which variant warms the store first is a race, and sweep
-                 output must stay deterministic *)
-              let c =
-                compile ~app ~frames ~optimize ?df_state
-                  ?cache:(make_cache cache_dir) file
-              in
-              let arch = topology topo procs in
-              let input_period = Option.map (fun f -> 1.0 /. f) fps in
-              (* parsed per job: a fault plan carries per-schedule state *)
-              let faults, restores, link_faults, recovery =
-                fault_plan ~halts ~restores ~drops ~delays ~dups ~df_timeout
-              in
-              let tracing =
-                trace_out <> None || gantt_svg <> None || conformance
-                || series_out <> [] || slo_specs <> []
-              in
-              let schedule, r =
-                Skipper_lib.Pipeline.execute_with_schedule ~trace:tracing
-                  ?input_period ~faults ~restores ~link_faults ?recovery
-                  ?checkpoint_every ~strategy ?input:(default_input app) c arch
-              in
-              let b = Buffer.create 256 in
-              Buffer.add_string b (Printf.sprintf "== --procs %d ==\n" procs);
-              Buffer.add_string b
-                (Printf.sprintf "result: %s\n"
-                   (Skel.Value.to_string r.Executive.value));
-              List.iteri
-                (fun i l ->
-                  Buffer.add_string b
-                    (Printf.sprintf "frame %3d latency %8.2f ms\n" i (l *. 1e3)))
-                r.Executive.latencies;
-              Buffer.add_string b
-                (Printf.sprintf "messages: %d, bytes: %d\n"
-                   r.Executive.stats.Machine.Sim.messages
-                   r.Executive.stats.Machine.Sim.bytes);
-              Buffer.add_string b (outcome_lines r);
-              let report =
-                if conformance then begin
-                  let report = conformance_report ~schedule ~input_period r in
-                  Buffer.add_string b
-                    (Skipper_trace.Conformance.to_string report);
-                  Some report
-                end
-                else None
-              in
-              let slo, sfiles =
-                series_files
-                  ~series_out:(List.map (subst_procs ~procs) series_out)
-                  ~slo_specs ~series_window r
-              in
-              Option.iter
-                (fun rep ->
-                  Buffer.add_string b (Skipper_trace.Series.Slo.to_string rep))
-                slo;
-              let files =
-                render_traces ~compiled:c ~schedule ?report ?slo
-                  ~trace_out:(Option.map (subst_procs ~procs) trace_out)
-                  ~gantt_svg:(Option.map (subst_procs ~procs) gantt_svg)
-                  r
-                @ sfiles
-                @ (match frontier_out with
-                  | Some path ->
-                      [ frontier_file ~strategy ~arch c
-                          (subst_procs ~procs path) ]
-                  | None -> [])
-              in
-              (Buffer.contents b, files)
-            in
-            List.iter
-              (fun (out, files) ->
-                print_string out;
-                List.iter
-                  (fun (path, content, log) ->
-                    write_file path content;
-                    Printf.eprintf "%s\n" log)
-                  files)
-              (Support.Domain_pool.run ~jobs
-                 (List.map (fun p () -> run_one p) procs_list)))
+                let warnings, tfiles =
+                  render_traces ~compiled:c ~schedule ?report ?slo
+                    ~trace_out:(Option.map at_procs trace_out)
+                    ~gantt_svg:(Option.map at_procs gantt_svg)
+                    r
+                in
+                let ffiles =
+                  Option.to_list
+                    (Option.map
+                       (fun path -> frontier_file ~strategy ~arch c (at_procs path))
+                       frontier_out)
+                in
+                (warnings, tfiles @ sfiles @ ffiles)
+          in
+          if timings then
+            Buffer.add_string out
+              (Format.asprintf "%a" Skipper_lib.Pipeline.pp_timings c);
+          (Buffer.contents out, logs @ warnings, files)
+        in
+        List.iter
+          (fun (out, logs, files) ->
+            print_string out;
+            emit_files logs files)
+          (Support.Domain_pool.run ~jobs
+             (List.map (fun p () -> run_one p) procs_list)))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile, map and execute on the simulated MIMD-DM machine.")
@@ -955,12 +907,12 @@ let demo_cmd =
         in
         let compiled = Skipper_lib.Pipeline.compile_ir ~table program in
         let tracing = trace_out <> None || gantt_svg <> None in
-        let faults, restores, link_faults, recovery =
-          fault_plan ~halts ~restores ~drops ~delays ~dups ~df_timeout
+        let plan =
+          fault_plan ~halts ~restores ~drops ~delays ~dups ~df_timeout ()
         in
-        let r =
+        let _, r =
           Skipper_lib.Pipeline.execute ~trace:tracing ~input ~input_period:0.04
-            ~faults ~restores ~link_faults ?recovery compiled arch
+            ~plan compiled arch
         in
         Printf.printf "application: %s on %s, %d stream iteration(s)\n" app
           (Archi.name arch) program.Skel.Ir.frames;
@@ -969,7 +921,8 @@ let demo_cmd =
           r.Executive.latencies;
         print_outcome r;
         print_string (Machine.Metrics.to_string (Executive.metrics r));
-        export_traces ~compiled ~trace_out ~gantt_svg r)
+        let warnings, files = render_traces ~compiled ~trace_out ~gantt_svg r in
+        emit_files warnings files)
   in
   Cmd.v
     (Cmd.info "demo"

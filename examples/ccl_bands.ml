@@ -25,7 +25,7 @@ let () =
         Skipper_lib.Pipeline.compile_ir ~table (Apps.Ccl_scm.ir ~nparts)
       in
       let arch = Archi.ring (nparts + 1) in
-      let result = Skipper_lib.Pipeline.execute ~input compiled arch in
+      let _, result = Skipper_lib.Pipeline.execute ~input compiled arch in
       let ncomp, area = Apps.Ccl_scm.result_summary result.Executive.value in
       let emulated = Skipper_lib.Pipeline.emulate compiled input in
       Printf.printf

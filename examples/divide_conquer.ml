@@ -15,7 +15,7 @@ let () =
   in
   let input = V.Image img in
   let arch = Archi.ring 7 in
-  let result = Skipper_lib.Pipeline.execute ~input compiled arch in
+  let _, result = Skipper_lib.Pipeline.execute ~input compiled arch in
   let leaves = Apps.Quadtree.leaves_of_value result.Executive.value in
   Printf.printf "quadtree leaves: %d\n" (List.length leaves);
 

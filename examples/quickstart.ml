@@ -34,7 +34,7 @@ let () =
         machine simulator. *)
   let compiled = Skipper_lib.Pipeline.compile_ir ~table program in
   let arch = Archi.ring 4 in
-  let result = Skipper_lib.Pipeline.execute ~input compiled arch in
+  let _, result = Skipper_lib.Pipeline.execute ~input compiled arch in
   Printf.printf "parallel result:  %s\n" (V.to_string result.Executive.value);
 
   (* 5. They agree (the paper's correctness story), and the machine metrics

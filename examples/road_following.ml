@@ -20,7 +20,7 @@ let () =
   in
   let input = Apps.Road.input_value ~width ~height in
   let arch = Archi.ring (nstrips + 1) in
-  let result = Skipper_lib.Pipeline.execute ~input ~input_period:0.04 compiled arch in
+  let _, result = Skipper_lib.Pipeline.execute ~input ~input_period:0.04 compiled arch in
   print_endline "frame | lane offset px | slope px/row | confidence | latency ms";
   List.iteri
     (fun i (lane_v, latency) ->

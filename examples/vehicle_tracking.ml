@@ -29,7 +29,7 @@ let () =
     (Syndex.Schedule.deadlock_free schedule);
 
   (* Run the distributed executive against the 25 Hz stream. *)
-  let result =
+  let _, result =
     Skipper_lib.Pipeline.execute ~input_period:0.04 compiled arch
   in
   print_endline "--- per-frame latency (ms) ---";

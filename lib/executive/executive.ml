@@ -15,6 +15,23 @@ let recovery ?(max_strikes = 3) df_timeout =
   if max_strikes <= 0 then error "recovery: max_strikes must be positive";
   { df_timeout; max_strikes }
 
+type plan = {
+  faults : (int * float) list;
+  restores : (int * float) list;
+  link_faults : Machine.Sim.link_fault list;
+  recovery : recovery option;
+  checkpoint_every : int option;
+}
+
+let no_faults =
+  {
+    faults = [];
+    restores = [];
+    link_faults = [];
+    recovery = None;
+    checkpoint_every = None;
+  }
+
 type result = {
   value : V.t;
   outputs : V.t list;
@@ -690,20 +707,21 @@ let is_itermem g =
     (fun (node : G.node) -> match node.kind with G.Mem _ -> true | _ -> false)
     (G.nodes g)
 
-let run ?(trace = false) ?trace_limit ?input_period ?(faults = [])
-    ?(restores = []) ?(link_faults = []) ?recovery:recov ?checkpoint_every
-    ~table ~arch ~placement ~graph:g ~frames ~input () =
+let run ?(trace = false) ?trace_limit ?input_period ?(plan = no_faults) ~table
+    ~arch ~placement ~graph:g ~frames ~input () =
   if frames <= 0 then error "frames must be positive";
-  (match checkpoint_every with
+  (match plan.checkpoint_every with
   | Some k when k <= 0 -> error "checkpoint_every must be positive, got %d" k
   | _ -> ());
   if Array.length placement <> G.nnodes g then
     error "placement has %d entries for %d processes" (Array.length placement)
       (G.nnodes g);
   let sim = Machine.Sim.create ~trace ?trace_limit arch in
-  List.iter (fun (p, at) -> Machine.Sim.halt_processor sim ~at p) faults;
-  List.iter (fun (p, at) -> Machine.Sim.restore_processor sim ~at p) restores;
-  List.iter (Machine.Sim.add_fault sim) link_faults;
+  List.iter (fun (p, at) -> Machine.Sim.halt_processor sim ~at p) plan.faults;
+  List.iter
+    (fun (p, at) -> Machine.Sim.restore_processor sim ~at p)
+    plan.restores;
+  List.iter (Machine.Sim.add_fault sim) plan.link_faults;
   let collector =
     {
       outs_rev = [];
@@ -727,7 +745,7 @@ let run ?(trace = false) ?trace_limit ?input_period ?(faults = [])
       | _ -> ())
     (G.nodes g);
   let durable (node : G.node) =
-    checkpoint_every <> None
+    plan.checkpoint_every <> None
     && match node.kind with G.DfMaster _ | G.Mem _ -> true | _ -> false
   in
   Array.iter
@@ -736,7 +754,8 @@ let run ?(trace = false) ?trace_limit ?input_period ?(faults = [])
         Machine.Sim.spawn sim ~name:node.label ~durable:(durable node)
           ~on:placement.(node.id)
           (behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
-             ~widx_table ~recovery:recov ~checkpoint:checkpoint_every ~cells
+             ~widx_table ~recovery:plan.recovery
+             ~checkpoint:plan.checkpoint_every ~cells
              node)
       in
       if pid <> node.id then error "process ids out of sync with node ids")
@@ -798,19 +817,14 @@ let run ?(trace = false) ?trace_limit ?input_period ?(faults = [])
     sim;
   }
 
-let run_schedule ?trace ?trace_limit ?input_period ?faults ?restores
-    ?link_faults ?recovery ?checkpoint_every ~table ~schedule ~frames ~input
-    () =
-  run ?trace ?trace_limit ?input_period ?faults ?restores ?link_faults
-    ?recovery ?checkpoint_every ~table
-    ~arch:schedule.Syndex.Schedule.arch
-    ~placement:schedule.Syndex.Schedule.placement
-    ~graph:schedule.Syndex.Schedule.graph ~frames ~input ()
-
 let timeline ?slo r =
   let tl = Machine.Sim.timeline r.sim in
   Option.iter (Skipper_trace.Series.Slo.emit tl) slo;
   tl
+
+let conformance ~schedule r =
+  Skipper_trace.Conformance.analyse ~schedule ~output_times:r.output_times
+    ?input_period:r.input_period (Machine.Sim.timeline r.sim)
 
 (* Default window: the input period when the run was paced (one window per
    frame slot), else 5 ms — wide enough that a short unpaced run still gets

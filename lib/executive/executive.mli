@@ -41,6 +41,39 @@ val recovery : ?max_strikes:int -> float -> recovery
 (** [recovery df_timeout] with [max_strikes] defaulting to 3. Raises
     [Executive_error] on non-positive arguments. *)
 
+type plan = {
+  faults : (int * float) list;
+      (** processor halts, [(processor, at)] in simulated seconds *)
+  restores : (int * float) list;  (** halts lifted, [(processor, at)] *)
+  link_faults : Machine.Sim.link_fault list;
+      (** message faults (see {!Machine.Sim.link_fault}) *)
+  recovery : recovery option;  (** the df farm's reissue policy *)
+  checkpoint_every : int option;
+      (** checkpoint cadence of durable control processes, in frames *)
+}
+(** How a run is disturbed and how it defends itself: the fault plan, the
+    recovery policy and the checkpoint cadence, always handed over
+    together. The value is immutable and holds no per-run state (a link
+    fault's counters and PRNG are created per machine by
+    {!Machine.Sim.add_fault}), so one plan can drive any number of runs.
+
+    Without [recovery] the executive behaves like plain SKiPPER — a fault
+    that kills a needed worker stalls the pipeline, reported as a [Stalled]
+    outcome with partial outputs (never an exception). With [recovery], the
+    [df] farm reissues timed-out tasks and retires repeatedly-failing
+    workers, so a run can complete degraded.
+
+    [checkpoint_every]: every [k] frames, durable control processes (df
+    masters and the itermem [Mem]) snapshot their state to stable storage
+    and truncate their replay journal ({!Machine.Sim.mark_stable}). A halt
+    of their processor then no longer loses the stream: deliveries spool,
+    and on restore the process replays from the checkpoint (recomputed
+    frames are counted in [replayed_frames], never re-emitted), so the run
+    [Completed]s where it would otherwise report [Stalled]. *)
+
+val no_faults : plan
+(** No halts, restores or link faults, no recovery, no checkpointing. *)
+
 type result = {
   value : Skel.Value.t;
       (** same shape as {!Skel.Sem.run}: for itermem programs,
@@ -79,11 +112,7 @@ val run :
   ?trace:bool ->
   ?trace_limit:int ->
   ?input_period:float ->
-  ?faults:(int * float) list ->
-  ?restores:(int * float) list ->
-  ?link_faults:Machine.Sim.link_fault list ->
-  ?recovery:recovery ->
-  ?checkpoint_every:int ->
+  ?plan:plan ->
   table:Skel.Funtable.t ->
   arch:Archi.t ->
   placement:int array ->
@@ -96,16 +125,9 @@ val run :
     processors (length must equal the node count). [frames] is the number of
     stream iterations; non-itermem graphs re-process [input] that many
     times. [input_period], when given, paces the source: frame [i] is not
-    produced before [i * input_period] (a 25 Hz camera is 0.04).
-
-    Fault injection: [faults] halts processors at given times
-    ([(processor, at)]), [restores] lifts halts, and [link_faults] arms
-    message faults (see {!Machine.Sim.link_fault}). Without [recovery] the
-    executive behaves like plain SKiPPER — a fault that kills a needed
-    worker stalls the pipeline, reported as a [Stalled] outcome with partial
-    outputs (never an exception). With [recovery], the [df] farm reissues
-    timed-out tasks and retires repeatedly-failing workers, so a run can
-    complete degraded.
+    produced before [i * input_period] (a 25 Hz camera is 0.04). [plan]
+    (default {!no_faults}) disturbs the machine and arms the recovery and
+    checkpoint disciplines.
 
     Stateful farms ([DfMaster] with a non-[Stateless]
     {!Skel.Ir.state_mode}) run the engine protocol: the master holds the
@@ -114,38 +136,13 @@ val run :
     enforces the mode's routing discipline — load-balanced for
     readonly/accumulator, fixed partition routing with one outstanding task
     per partition for owner, fully serialised round-robin (the farm with
-    feedback) for resource. [recovery] is rejected together with the
-    engine.
+    feedback) for resource. A plan's [recovery] is rejected together with
+    the engine.
 
-    [checkpoint_every]: every [k] frames, durable control processes (df
-    masters and the itermem [Mem]) snapshot their state to stable storage
-    and truncate their replay journal ({!Machine.Sim.mark_stable}). A halt
-    of their processor then no longer loses the stream: deliveries spool,
-    and on restore the process replays from the checkpoint (recomputed
-    frames are counted in [replayed_frames], never re-emitted), so the run
-    [Completed]s where it would otherwise report [Stalled].
-
-    Raises [Executive_error] on malformed graphs (e.g. explicit [Router]
-    nodes, which only appear in the structural Fig. 1 template) and
-    re-raises user-function exceptions wrapped in
-    {!Machine.Sim.Process_failure}. *)
-
-val run_schedule :
-  ?trace:bool ->
-  ?trace_limit:int ->
-  ?input_period:float ->
-  ?faults:(int * float) list ->
-  ?restores:(int * float) list ->
-  ?link_faults:Machine.Sim.link_fault list ->
-  ?recovery:recovery ->
-  ?checkpoint_every:int ->
-  table:Skel.Funtable.t ->
-  schedule:Syndex.Schedule.t ->
-  frames:int ->
-  input:Skel.Value.t ->
-  unit ->
-  result
-(** Convenience wrapper taking the placement from a static schedule. *)
+    Raises [Executive_error] on a non-positive [checkpoint_every] and on
+    malformed graphs (e.g. explicit [Router] nodes, which only appear in
+    the structural Fig. 1 template), and re-raises user-function exceptions
+    wrapped in {!Machine.Sim.Process_failure}. *)
 
 val metrics : result -> Machine.Metrics.report
 (** {!Machine.Metrics.analyse} on the run's machine with the executive-level
@@ -160,6 +157,15 @@ val timeline :
     environment injections. With [slo], the monitor's state transitions are
     appended as instants on the SLO lanes. Feed to
     {!Skipper_trace.Chrome.to_json} or {!Skipper_trace.Svg.gantt}. *)
+
+val conformance :
+  schedule:Syndex.Schedule.t ->
+  result ->
+  (Skipper_trace.Conformance.report, string) Stdlib.result
+(** {!Skipper_trace.Conformance.analyse} of the run's trace against the
+    static [schedule] it was mapped with, comparing per-frame latencies
+    through the run's output times and pacing. [Error] when tracing was
+    not enabled. *)
 
 val series :
   ?width:float ->

@@ -244,10 +244,17 @@ let extract ?(frames = 1) ?(name = "main") table prog =
         | _ -> true)
       prog
   in
+  (* One item at a time, so a failure is reported at the item's line. *)
   let genv =
-    try Eval.eval_program ctx globals
-    with Eval.Runtime_error msg ->
-      raise (Extract_error ("evaluating globals: " ^ msg, Ast.noloc))
+    List.fold_left
+      (fun env top ->
+        try Eval.eval_program_env ctx env [ top ]
+        with Eval.Runtime_error msg ->
+          let loc =
+            match top with Ast.Texternal { loc; _ } | Ast.Tlet { loc; _ } -> loc
+          in
+          raise (Extract_error ("evaluating globals: " ^ msg, loc)))
+      (Eval.initial_env ctx) globals
   in
   let main_expr, main_loc =
     match

@@ -58,11 +58,7 @@ type ctx = {
   input : Skel.Value.t option;
   input_period : float option;
   trace : bool;
-  faults : (int * float) list;  (* processor halts, (proc, at) *)
-  restores : (int * float) list;
-  link_faults : Machine.Sim.link_fault list;
-  recovery : Executive.recovery option;
-  checkpoint_every : int option;
+  plan : Executive.plan;
   cache : cache option;
   mutable key : string;  (* running content hash; "" until the first pass *)
   reports : Stage.report list ref;  (* newest first; shared with retargets *)
@@ -80,19 +76,14 @@ let make_ctx ?cache ?(frames = 1) ?(optimize = false) ?df_state table =
     input = None;
     input_period = None;
     trace = false;
-    faults = [];
-    restores = [];
-    link_faults = [];
-    recovery = None;
-    checkpoint_every = None;
+    plan = Executive.no_faults;
     cache;
     key = "";
     reports = ref [];
   }
 
-let retarget ?cost ?input ?input_period ?(trace = false) ?(faults = [])
-    ?(restores = []) ?(link_faults = []) ?recovery ?checkpoint_every ~strategy
-    ctx arch =
+let retarget ?cost ?input ?input_period ?(trace = false)
+    ?(plan = Executive.no_faults) ~strategy ctx arch =
   {
     ctx with
     arch = Some arch;
@@ -101,11 +92,7 @@ let retarget ?cost ?input ?input_period ?(trace = false) ?(faults = [])
     input = (match input with Some _ -> input | None -> ctx.input);
     input_period;
     trace;
-    faults;
-    restores;
-    link_faults;
-    recovery;
-    checkpoint_every;
+    plan;
   }
 
 let reports ctx = List.rev !(ctx.reports)
@@ -309,10 +296,7 @@ let simulate =
             in
             let r =
               Executive.run ~trace:ctx.trace ?input_period:ctx.input_period
-                ~faults:ctx.faults ~restores:ctx.restores
-                ~link_faults:ctx.link_faults ?recovery:ctx.recovery
-                ?checkpoint_every:ctx.checkpoint_every
-                ~table:ctx.table ~arch:s.Syndex.Schedule.arch
+                ~plan:ctx.plan ~table:ctx.table ~arch:s.Syndex.Schedule.arch
                 ~placement:s.Syndex.Schedule.placement
                 ~graph:s.Syndex.Schedule.graph ~frames:ctx.frames ~input ()
             in

@@ -82,11 +82,7 @@ val retarget :
   ?input:Skel.Value.t ->
   ?input_period:float ->
   ?trace:bool ->
-  ?faults:(int * float) list ->
-  ?restores:(int * float) list ->
-  ?link_faults:Machine.Sim.link_fault list ->
-  ?recovery:Executive.recovery ->
-  ?checkpoint_every:int ->
+  ?plan:Executive.plan ->
   strategy:strategy ->
   ctx ->
   Archi.t ->
@@ -94,9 +90,8 @@ val retarget :
 (** Derives a back-end context for one (architecture, strategy) target.
     The returned context shares the report list and cache with the parent,
     so per-stage timings accumulate across compile + map + execute.
-    [faults]/[restores]/[link_faults]/[recovery]/[checkpoint_every]
-    (default: none) are the fault-injection plan, recovery policy and
-    checkpoint cadence handed to {!Executive.run} by the simulate pass. *)
+    [plan] (default {!Executive.no_faults}) is handed to {!Executive.run}
+    by the simulate pass. *)
 
 val reports : ctx -> Stage.report list
 (** All reports recorded through this context (and its retargets), in

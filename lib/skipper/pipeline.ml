@@ -96,13 +96,12 @@ let resolve_input compiled input =
   | None, None ->
       error "program %s needs an explicit input value" compiled.name
 
-let execute_with_schedule ?(trace = false) ?input_period ?faults ?restores
-    ?link_faults ?recovery ?checkpoint_every ?(strategy = "canonical") ?cost
-    ?input compiled arch =
+let execute ?(trace = false) ?input_period ?plan ?(strategy = "canonical")
+    ?cost ?input compiled arch =
   let input = resolve_input compiled input in
   let ctx =
-    Passes.retarget ?cost ~input ?input_period ~trace ?faults ?restores
-      ?link_faults ?recovery ?checkpoint_every ~strategy compiled.ctx arch
+    Passes.retarget ?cost ~input ?input_period ~trace ?plan ~strategy
+      compiled.ctx arch
   in
   match
     Passes.run_trace ctx
@@ -112,16 +111,10 @@ let execute_with_schedule ?(trace = false) ?input_period ?faults ?restores
   | [ _; Stage.Schedule s; Stage.Result r ] -> (s, r)
   | _ -> assert false
 
-let execute ?trace ?input_period ?faults ?restores ?link_faults ?recovery
-    ?checkpoint_every ?strategy ?cost ?input compiled arch =
-  snd
-    (execute_with_schedule ?trace ?input_period ?faults ?restores ?link_faults
-       ?recovery ?checkpoint_every ?strategy ?cost ?input compiled arch)
-
 let check_equivalence ?input compiled arch =
   let input = resolve_input compiled input in
   let emulated = emulate compiled input in
-  let result = execute ~input compiled arch in
+  let _, result = execute ~input compiled arch in
   if Skel.Value.equal emulated result.Executive.value then Ok emulated
   else
     Error

@@ -76,42 +76,21 @@ val map :
 val execute :
   ?trace:bool ->
   ?input_period:float ->
-  ?faults:(int * float) list ->
-  ?restores:(int * float) list ->
-  ?link_faults:Machine.Sim.link_fault list ->
-  ?recovery:Executive.recovery ->
-  ?checkpoint_every:int ->
-  ?strategy:strategy ->
-  ?cost:Syndex.Cost.t ->
-  ?input:Skel.Value.t ->
-  compiled ->
-  Archi.t ->
-  Executive.result
-(** Map then run on the simulated machine (the cost, map and simulate
-    passes). [input] overrides the compiled input; raises [Compile_error]
-    when neither is available. [faults]/[restores]/[link_faults] inject the
-    fault plan into the simulated machine, [recovery] enables the
-    fault-tolerant df farm and [checkpoint_every] the master
-    checkpoint/replay discipline (see {!Executive.run}); a stalled degraded
-    run comes back as a [Stalled] outcome, not an exception. *)
-
-val execute_with_schedule :
-  ?trace:bool ->
-  ?input_period:float ->
-  ?faults:(int * float) list ->
-  ?restores:(int * float) list ->
-  ?link_faults:Machine.Sim.link_fault list ->
-  ?recovery:Executive.recovery ->
-  ?checkpoint_every:int ->
+  ?plan:Executive.plan ->
   ?strategy:strategy ->
   ?cost:Syndex.Cost.t ->
   ?input:Skel.Value.t ->
   compiled ->
   Archi.t ->
   Syndex.Schedule.t * Executive.result
-(** {!execute}, also returning the static schedule the map pass produced —
-    the predicted side of a conformance comparison
-    ({!Skipper_trace.Conformance}) against the run's measured trace. *)
+(** Map then run on the simulated machine (the cost, map and simulate
+    passes), returning the static schedule the map pass produced — the
+    predicted side of {!Executive.conformance} — next to the run result.
+    [input] overrides the compiled input; raises [Compile_error] when
+    neither is available. [plan] (default {!Executive.no_faults}) injects
+    faults into the simulated machine and arms the recovery and checkpoint
+    disciplines (see {!Executive.plan}); a stalled degraded run comes back
+    as a [Stalled] outcome, not an exception. *)
 
 val check_equivalence :
   ?input:Skel.Value.t -> compiled -> Archi.t -> (Skel.Value.t, string) result

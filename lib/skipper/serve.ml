@@ -356,7 +356,7 @@ let handle_request s req =
           in
           cache_taken := Some cache;
           let input = cfg.input_of app in
-          let result =
+          let _, result =
             Pipeline.execute ?input ~strategy compiled (cfg.arch_of procs)
           in
           timed "run"

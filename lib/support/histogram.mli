@@ -8,8 +8,8 @@
     partitioned streams combine exactly.
 
     This module is the single histogram implementation in the tree: the
-    windowed series ({!Skipper_trace.Series.Hist} is an alias of it) and
-    the daemon metrics registry ({!Metrics}) share it, so their expositions
+    windowed series ({!Skipper_trace.Series.window} latencies) and the
+    daemon metrics registry ({!Metrics}) share it, so their expositions
     are bucket-for-bucket comparable. The structure itself is {e not}
     domain-safe — concurrent writers must serialise {!add} (the registry
     does, behind a mutex); merging and reading a quiescent histogram is

@@ -3,11 +3,6 @@
    deterministic function of the simulated run, and (b) windows built from a
    window-partition of the observation stream merge back byte-identically. *)
 
-(* The histogram implementation moved to [Support.Histogram] so the daemon
-   metrics registry shares the very same buckets; the alias keeps every
-   existing [Series.Hist] caller and the byte-identity of all exports. *)
-module Hist = Support.Histogram
-
 type window = {
   index : int;
   w_start : float;
@@ -21,7 +16,7 @@ type window = {
   backlog : int;
   busy : float array;
   link_busy : ((int * int) * float) list;
-  latency : Hist.t;
+  latency : Support.Histogram.t;
   last_output : float option;
 }
 
@@ -56,7 +51,7 @@ let empty_window ~nprocs ~width index =
     backlog = 0;
     busy = Array.make nprocs 0.0;
     link_busy = [];
-    latency = Hist.create ();
+    latency = Support.Histogram.create ();
     last_output = None;
   }
 
@@ -71,7 +66,7 @@ type acc = {
   mutable a_backlog : int;
   a_busy : float array;
   a_links : (int * int, float ref) Hashtbl.t;
-  a_hist : Hist.t;
+  a_hist : Support.Histogram.t;
   mutable a_last_output : float option;
 }
 
@@ -115,7 +110,7 @@ let build ~width ~nprocs ?(horizon = 0.0) ?(output_times = [])
             a_backlog = 0;
             a_busy = Array.make nprocs 0.0;
             a_links = Hashtbl.create 8;
-            a_hist = Hist.create ();
+            a_hist = Support.Histogram.create ();
             a_last_output = None;
           })
     in
@@ -220,7 +215,7 @@ let build ~width ~nprocs ?(horizon = 0.0) ?(output_times = [])
             let a = accs.(idx t) in
             a.a_frames <- a.a_frames + 1;
             a.a_misses <- a.a_misses + misses_of lat;
-            Hist.add a.a_hist lat;
+            Support.Histogram.add a.a_hist lat;
             a.a_last_output <-
               Some
                 (match a.a_last_output with
@@ -329,7 +324,7 @@ let merge a b =
             backlog = max wa.backlog wb.backlog;
             busy = Array.init a.nprocs (fun p -> wa.busy.(p) +. wb.busy.(p));
             link_busy = links;
-            latency = Hist.merge wa.latency wb.latency;
+            latency = Support.Histogram.merge wa.latency wb.latency;
             last_output =
               (match (wa.last_output, wb.last_output) with
               | None, x | x, None -> x
@@ -530,14 +525,14 @@ module Slo = struct
   let observe series spec ~seen_frames ~last_output w =
     match spec.metric with
     | P50 | P95 | P99 | Mean_latency ->
-        if Hist.count w.latency = 0 then None
+        if Support.Histogram.count w.latency = 0 then None
         else
           Some
             (match spec.metric with
-            | P50 -> Hist.quantile w.latency 0.50
-            | P95 -> Hist.quantile w.latency 0.95
-            | P99 -> Hist.quantile w.latency 0.99
-            | _ -> Hist.mean w.latency)
+            | P50 -> Support.Histogram.quantile w.latency 0.50
+            | P95 -> Support.Histogram.quantile w.latency 0.95
+            | P99 -> Support.Histogram.quantile w.latency 0.99
+            | _ -> Support.Histogram.mean w.latency)
     | Miss_rate ->
         if w.frames = 0 then None
         else
@@ -771,20 +766,21 @@ let window_json t w =
     |> String.concat ","
   in
   let latency =
-    if Hist.count w.latency = 0 then "null"
+    if Support.Histogram.count w.latency = 0 then "null"
     else
       let buckets =
-        Hist.buckets w.latency
+        Support.Histogram.buckets w.latency
         |> List.map (fun (le, n) ->
                Printf.sprintf "{\"le_s\":%.9f,\"n\":%d}" le n)
         |> String.concat ","
       in
       Printf.sprintf
         "{\"n\":%d,\"mean_s\":%.9f,\"p50_s\":%.9f,\"p95_s\":%.9f,\"p99_s\":%.9f,\"buckets\":[%s]}"
-        (Hist.count w.latency) (Hist.mean w.latency)
-        (Hist.quantile w.latency 0.50)
-        (Hist.quantile w.latency 0.95)
-        (Hist.quantile w.latency 0.99)
+        (Support.Histogram.count w.latency)
+        (Support.Histogram.mean w.latency)
+        (Support.Histogram.quantile w.latency 0.50)
+        (Support.Histogram.quantile w.latency 0.95)
+        (Support.Histogram.quantile w.latency 0.99)
         buckets
   in
   Printf.sprintf
@@ -822,8 +818,8 @@ let to_csv t =
       let busy = Array.fold_left ( +. ) 0.0 w.busy in
       let link = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 w.link_busy in
       let q p =
-        if Hist.count w.latency = 0 then 0.0
-        else Hist.quantile w.latency p *. 1e3
+        if Support.Histogram.count w.latency = 0 then 0.0
+        else Support.Histogram.quantile w.latency p *. 1e3
       in
       Buffer.add_string buf
         (Printf.sprintf
@@ -832,7 +828,7 @@ let to_csv t =
            (throughput t w) (utilisation t w) w.messages w.in_flight
            w.backlog w.reissues w.deadline_misses w.faults (busy *. 1e3)
            (link *. 1e3) (q 0.50) (q 0.95) (q 0.99)
-           (Hist.mean w.latency *. 1e3)))
+           (Support.Histogram.mean w.latency *. 1e3)))
     t.windows;
   Buffer.contents buf
 
@@ -891,8 +887,8 @@ let to_prometheus ?slo t =
   end;
   let hist =
     Array.fold_left
-      (fun acc w -> Hist.merge acc w.latency)
-      (Hist.create ()) t.windows
+      (fun acc w -> Support.Histogram.merge acc w.latency)
+      (Support.Histogram.create ()) t.windows
   in
   Buffer.add_string buf
     "# HELP skipper_frame_latency_seconds Frame latency distribution.\n\
@@ -904,15 +900,16 @@ let to_prometheus ?slo t =
       Buffer.add_string buf
         (Printf.sprintf "skipper_frame_latency_seconds_bucket{le=\"%.9g\"} %d\n"
            le !cum))
-    (Hist.buckets hist);
+    (Support.Histogram.buckets hist);
   Buffer.add_string buf
     (Printf.sprintf "skipper_frame_latency_seconds_bucket{le=\"+Inf\"} %d\n"
-       (Hist.count hist));
+       (Support.Histogram.count hist));
   Buffer.add_string buf
-    (Printf.sprintf "skipper_frame_latency_seconds_sum %.9f\n" (Hist.sum hist));
+    (Printf.sprintf "skipper_frame_latency_seconds_sum %.9f\n"
+       (Support.Histogram.sum hist));
   Buffer.add_string buf
     (Printf.sprintf "skipper_frame_latency_seconds_count %d\n"
-       (Hist.count hist));
+       (Support.Histogram.count hist));
   let last =
     if Array.length t.windows = 0 then None
     else Some t.windows.(Array.length t.windows - 1)

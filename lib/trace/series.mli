@@ -16,13 +16,6 @@
     very bytes of a single build (the window-merge invariant pinned in
     [test_series]). *)
 
-module Hist = Support.Histogram
-(** Mergeable log-bucketed latency histogram — an alias of
-    {!Support.Histogram}, which the daemon metrics registry
-    ({!Support.Metrics}) shares, so series exports and daemon expositions
-    are bucket-for-bucket comparable. See {!Support.Histogram} for the
-    bucket layout and determinism guarantees. *)
-
 type window = {
   index : int;
   w_start : float;  (** seconds, inclusive *)
@@ -46,7 +39,11 @@ type window = {
   link_busy : ((int * int) * float) list;
       (** per directed link, occupied seconds clipped to the window;
           only links active in the window, sorted by (src, dst) *)
-  latency : Hist.t;  (** latencies of the frames completed in this window *)
+  latency : Support.Histogram.t;
+      (** latencies of the frames completed in this window, in the
+          log-bucketed histogram the daemon metrics registry
+          ({!Support.Metrics}) shares, so series exports and daemon
+          expositions are bucket-for-bucket comparable *)
   last_output : float option;
       (** completion time of the window's latest frame, for gap detection *)
 }

@@ -23,7 +23,7 @@ let pool_jobs = Dp.jobs_from_env ~default:4 ()
 
 type params = { nworkers : int; nitems : int; scale : float }
 
-let run_farm ?link_faults p =
+let run_farm ?plan p =
   let table = Skel.Funtable.create () in
   Skel.Funtable.register table "w" ~cost:(fun _ -> p.scale) (fun v -> v);
   Skel.Funtable.register table "k" ~arity:2 ~cost:(fun _ -> 100.0) (fun v ->
@@ -41,12 +41,12 @@ let run_farm ?link_faults p =
             }))
   in
   let arch = Archi.ring (p.nworkers + 1) in
-  P.execute_with_schedule ~trace:true ?link_faults
+  P.execute ~trace:true ?plan
     ~input:(V.List (List.init p.nitems (fun i -> V.Int i)))
     compiled arch
 
 let conformance_of (schedule, (r : Executive.result)) =
-  match Machine.Profile.conformance ~schedule r.Executive.sim with
+  match C.analyse ~schedule (Machine.Sim.timeline r.Executive.sim) with
   | Ok rep -> rep
   | Error e -> Alcotest.fail e
 
@@ -58,7 +58,7 @@ let longest_span (r : Executive.result) =
       | E.Span d when e.E.lane.E.track >= 3 -> Float.max acc d
       | _ -> acc)
     0.0
-    (E.events (Machine.Profile.timeline r.Executive.sim))
+    (E.events (Machine.Sim.timeline r.Executive.sim))
 
 (* ------------------------------------------------------------------ *)
 (* Critical-path soundness (qcheck)                                    *)
@@ -125,8 +125,12 @@ let test_faults_increase_divergence () =
   let faulty =
     conformance_of
       (run_farm
-         ~link_faults:
-           [ Sim.link_fault ~schedule:(Sim.Every 2) (Sim.Delay 2e-3) ]
+         ~plan:
+           {
+             Executive.no_faults with
+             link_faults =
+               [ Sim.link_fault ~schedule:(Sim.Every 2) (Sim.Delay 2e-3) ];
+           }
          p)
   in
   Alcotest.(check bool) "faults slow the measured run" true

@@ -67,8 +67,15 @@ let run_job p =
         [ Sim.link_fault ~schedule:(Sim.Prob (pr, seed)) Sim.Drop ]
   in
   let recovery = if p.recover then Some (Executive.recovery 5e-3) else None in
-  Executive.run ~trace:true ~link_faults ?recovery
-    ?checkpoint_every:p.checkpoint ~table ~arch
+  Executive.run ~trace:true
+    ~plan:
+      {
+        Executive.no_faults with
+        link_faults;
+        recovery;
+        checkpoint_every = p.checkpoint;
+      }
+    ~table ~arch
     ~placement:(Syndex.Place.canonical g arch)
     ~graph:g ~frames:p.frames
     ?input_period:(if p.frames > 1 then Some 0.01 else None)

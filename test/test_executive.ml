@@ -307,8 +307,9 @@ let test_fault_stalls_pipeline () =
   let placement = Syndex.Place.canonical g arch in
   let input = V.List (List.init 30 (fun i -> V.Int i)) in
   let r =
-    Executive.run ~faults:[ (1, 0.0005) ] ~table ~arch ~placement ~graph:g
-      ~frames:1 ~input ()
+    Executive.run
+      ~plan:{ Executive.no_faults with faults = [ (1, 0.0005) ] }
+      ~table ~arch ~placement ~graph:g ~frames:1 ~input ()
   in
   (match r.Executive.outcome with
   | Executive.Stalled { collected; expected } ->
@@ -325,8 +326,9 @@ let test_fault_on_idle_processor_harmless () =
   let g = Procnet.Expand.expand table program in
   let arch = Archi.ring 3 in
   let r =
-    Executive.run ~faults:[ (2, 0.0) ] ~table ~arch ~placement:[| 0 |] ~graph:g
-      ~frames:1 ~input:(V.Int 6) ()
+    Executive.run
+      ~plan:{ Executive.no_faults with faults = [ (2, 0.0) ] }
+      ~table ~arch ~placement:[| 0 |] ~graph:g ~frames:1 ~input:(V.Int 6) ()
   in
   Alcotest.(check value_testable) "unaffected" (V.Int 36) r.Executive.value
 

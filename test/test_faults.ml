@@ -320,8 +320,7 @@ let df_program nworkers =
 
 (* Run the farm on a ring with one processor per worker plus the master,
    under canonical placement (worker i lives on P(i+1)). *)
-let df_run ?(frames = 1) ?faults ?restores ?link_faults ?recovery ~nworkers
-    items =
+let df_run ?(frames = 1) ?plan ~nworkers items =
   let table = ft_table () in
   let program = df_program nworkers in
   let g = Procnet.Expand.expand table program in
@@ -329,8 +328,7 @@ let df_run ?(frames = 1) ?faults ?restores ?link_faults ?recovery ~nworkers
   let placement = Syndex.Place.canonical g arch in
   let input = V.List (List.map (fun i -> V.Int i) items) in
   let r =
-    Executive.run ?faults ?restores ?link_faults ?recovery ~table ~arch
-      ~placement ~graph:g ~frames ~input ()
+    Executive.run ?plan ~table ~arch ~placement ~graph:g ~frames ~input ()
   in
   (Skel.Sem.run table program input, r)
 
@@ -343,8 +341,14 @@ let test_df_recovers_from_worker_halt () =
   let nworkers = 3 in
   let timeout = healthy_latency ~nworkers items in
   let seq, r =
-    df_run ~nworkers ~faults:[ (2, timeout /. 4.0) ]
-      ~recovery:(Executive.recovery ~max_strikes:1 timeout) items
+    df_run ~nworkers
+      ~plan:
+        {
+          Executive.no_faults with
+          faults = [ (2, timeout /. 4.0) ];
+          recovery = Some (Executive.recovery ~max_strikes:1 timeout);
+        }
+      items
   in
   Alcotest.(check bool) "completed degraded" true
     (r.Executive.outcome = Executive.Completed);
@@ -362,8 +366,13 @@ let test_df_survives_halt_mid_stream () =
   let timeout = healthy_latency ~nworkers items in
   let seq, r =
     df_run ~frames:4 ~nworkers
-      ~faults:[ (2, 1.5 *. timeout) ]
-      ~recovery:(Executive.recovery timeout) items
+      ~plan:
+        {
+          Executive.no_faults with
+          faults = [ (2, 1.5 *. timeout) ];
+          recovery = Some (Executive.recovery timeout);
+        }
+      items
   in
   Alcotest.(check bool) "completed" true
     (r.Executive.outcome = Executive.Completed);
@@ -378,8 +387,13 @@ let test_df_recovery_absorbs_duplicates () =
   let timeout = healthy_latency ~nworkers items in
   let seq, r =
     df_run ~nworkers
-      ~link_faults:[ Sim.link_fault ~schedule:(Sim.Every 2) Sim.Duplicate ]
-      ~recovery:(Executive.recovery timeout) items
+      ~plan:
+        {
+          Executive.no_faults with
+          link_faults = [ Sim.link_fault ~schedule:(Sim.Every 2) Sim.Duplicate ];
+          recovery = Some (Executive.recovery timeout);
+        }
+      items
   in
   Alcotest.(check bool) "completed" true
     (r.Executive.outcome = Executive.Completed);
@@ -405,8 +419,15 @@ let prop_df_single_fault_recovery =
         | _ -> ([], [ Sim.link_fault ~schedule:(Sim.Every 3) Sim.Duplicate ])
       in
       let seq, r =
-        df_run ~nworkers ~faults ~link_faults
-          ~recovery:(Executive.recovery timeout) items
+        df_run ~nworkers
+          ~plan:
+            {
+              Executive.no_faults with
+              faults;
+              link_faults;
+              recovery = Some (Executive.recovery timeout);
+            }
+          items
       in
       r.Executive.outcome = Executive.Completed
       && V.equal seq r.Executive.value)
@@ -419,7 +440,11 @@ let prop_df_halt_without_recovery_never_raises =
       pair (int_range 2 4) (list_of_size Gen.(2 -- 20) (int_range 0 50)))
     (fun (nworkers, items) ->
       QCheck.assume (items <> []);
-      let _, r = df_run ~nworkers ~faults:[ (2, 1e-4) ] items in
+      let _, r =
+        df_run ~nworkers
+          ~plan:{ Executive.no_faults with faults = [ (2, 1e-4) ] }
+          items
+      in
       match r.Executive.outcome with
       | Executive.Completed -> List.length r.Executive.outputs = 1
       | Executive.Stalled { collected; expected } ->
@@ -442,7 +467,7 @@ let acc_program ~frames nworkers =
     (Ir.Df
        { nworkers; comp = "sq"; acc = "add"; init = V.Int 0; state = Ir.Accumulator })
 
-let acc_run ?faults ?restores ?checkpoint_every ~frames ~nworkers items =
+let acc_run ?plan ~frames ~nworkers items =
   let table = ft_table () in
   let program = acc_program ~frames nworkers in
   let g = Procnet.Expand.expand table program in
@@ -450,8 +475,7 @@ let acc_run ?faults ?restores ?checkpoint_every ~frames ~nworkers items =
   let placement = Syndex.Place.canonical g arch in
   let input = V.List (List.map (fun i -> V.Int i) items) in
   let r =
-    Executive.run ?faults ?restores ?checkpoint_every ~table ~arch ~placement
-      ~graph:g ~frames ~input ()
+    Executive.run ?plan ~table ~arch ~placement ~graph:g ~frames ~input ()
   in
   (Skel.Sem.run table program input, r)
 
@@ -466,8 +490,12 @@ let test_master_halt_stalls_without_checkpoint () =
   let halt_at = (times.(1) +. times.(2)) /. 2.0 in
   let _, r =
     acc_run ~frames ~nworkers
-      ~faults:[ (0, halt_at) ]
-      ~restores:[ (0, 2.0 *. halt_at) ]
+      ~plan:
+        {
+          Executive.no_faults with
+          faults = [ (0, halt_at) ];
+          restores = [ (0, 2.0 *. halt_at) ];
+        }
       items
   in
   (match r.Executive.outcome with
@@ -484,7 +512,8 @@ let test_master_halt_stalls_without_checkpoint () =
 let test_master_checkpoint_replay_completes () =
   let items = List.init 12 (fun i -> i) in
   let nworkers = 3 and frames = 4 in
-  let _, healthy = acc_run ~frames ~nworkers ~checkpoint_every:2 items in
+  let every2 = { Executive.no_faults with checkpoint_every = Some 2 } in
+  let _, healthy = acc_run ~frames ~nworkers ~plan:every2 items in
   let times = Array.of_list healthy.Executive.output_times in
   (* Halt while frame 3 is in flight: the last stable snapshot covers
      frames 0-1 and frame 2 is already emitted, so the restarted master
@@ -492,9 +521,13 @@ let test_master_checkpoint_replay_completes () =
      emitted count) before finishing the stream. *)
   let halt_at = (times.(2) +. times.(3)) /. 2.0 in
   let oracle, r =
-    acc_run ~frames ~nworkers ~checkpoint_every:2
-      ~faults:[ (0, halt_at) ]
-      ~restores:[ (0, 2.0 *. halt_at) ]
+    acc_run ~frames ~nworkers
+      ~plan:
+        {
+          every2 with
+          faults = [ (0, halt_at) ];
+          restores = [ (0, 2.0 *. halt_at) ];
+        }
       items
   in
   Alcotest.(check bool) "completed despite the master outage" true
@@ -521,13 +554,62 @@ let test_master_checkpoint_no_fault_is_free () =
   let items = List.init 10 (fun i -> i) in
   let nworkers = 2 and frames = 4 in
   let oracle, plain = acc_run ~frames ~nworkers items in
-  let _, ckpt = acc_run ~frames ~nworkers ~checkpoint_every:1 items in
+  let _, ckpt =
+    acc_run ~frames ~nworkers
+      ~plan:{ Executive.no_faults with checkpoint_every = Some 1 }
+      items
+  in
   Alcotest.(check value_testable) "same value" oracle ckpt.Executive.value;
   Alcotest.(check (list value_testable)) "same outputs"
     plain.Executive.outputs ckpt.Executive.outputs;
   Alcotest.(check int) "one checkpoint per frame" frames
     ckpt.Executive.checkpoints;
   Alcotest.(check int) "nothing replayed" 0 ckpt.Executive.replayed_frames
+
+(* ------------------------------------------------------------------ *)
+(* The run plan                                                        *)
+
+let test_plan_reused_across_runs () =
+  (* A plan holds no per-run state: a link fault's counters and PRNG are
+     created per machine, so one plan value drives repeated runs to the
+     same outputs, output times and fault tally. *)
+  let items = List.init 16 (fun i -> i) in
+  let nworkers = 3 in
+  let timeout = healthy_latency ~nworkers items in
+  let plan =
+    {
+      Executive.no_faults with
+      faults = [ (3, 1.5 *. timeout) ];
+      link_faults = [ Sim.link_fault ~schedule:(Sim.Prob (0.2, 11)) Sim.Drop ];
+      recovery = Some (Executive.recovery timeout);
+    }
+  in
+  let run plan = snd (df_run ~frames:3 ~nworkers ~plan items) in
+  let tally r = Sim.fault_tally r.Executive.sim in
+  let a = run plan and b = run plan in
+  Alcotest.(check bool) "the seeded drop fires on its own" true
+    ((tally (run { plan with faults = [] })).Sim.dropped > 0);
+  Alcotest.(check (list value_testable)) "same outputs" a.Executive.outputs
+    b.Executive.outputs;
+  Alcotest.(check (list (float 0.0))) "same output times"
+    a.Executive.output_times b.Executive.output_times;
+  Alcotest.(check bool) "same fault tally" true (tally a = tally b)
+
+let test_plan_rejects_zero_checkpoint_cadence () =
+  let table = ft_table () in
+  let g = Procnet.Expand.expand table (df_program 2) in
+  let arch = Archi.ring 3 in
+  match
+    Executive.run
+      ~plan:{ Executive.no_faults with checkpoint_every = Some 0 }
+      ~table ~arch
+      ~placement:(Syndex.Place.canonical g arch)
+      ~graph:g ~frames:1
+      ~input:(V.List [ V.Int 1 ])
+      ()
+  with
+  | _ -> Alcotest.fail "checkpoint_every = 0 must be rejected"
+  | exception Executive.Executive_error _ -> ()
 
 let test_single_frame_period_is_none () =
   let _, r = df_run ~nworkers:2 [ 1; 2; 3 ] in
@@ -567,6 +649,13 @@ let () =
           Alcotest.test_case "injections exempt" `Quick
             test_injections_and_local_copies_exempt;
           Alcotest.test_case "recv deadline" `Quick test_recv_deadline_timeout;
+        ] );
+      ( "plan",
+        [
+          Alcotest.test_case "reused across runs" `Quick
+            test_plan_reused_across_runs;
+          Alcotest.test_case "rejects zero checkpoint cadence" `Quick
+            test_plan_rejects_zero_checkpoint_cadence;
         ] );
       ( "metrics",
         [

@@ -286,6 +286,25 @@ let test_extract_wrapper_registration () =
         (V.equal (Skel.Funtable.apply table wrapper (V.Int 5)) (V.Int 15))
   | other -> Alcotest.failf "unexpected body %s" (Format.asprintf "%a" Skel.Ir.pp other)
 
+let test_extract_unregistered_external_located () =
+  (* The failing declaration's line is reported, not line 0. *)
+  let table = Skel.Funtable.create () in
+  Apps.Ccl_scm.register table;
+  let src =
+    "(* ccl *)\n\
+     external ccl_split : int -> img -> band list\n\
+     external ccl_bandx : band -> labelling\n\
+     external ccl_merge : labelling list -> regions\n\
+     let main = fun im -> scm 4 ccl_split ccl_bandx ccl_merge im"
+  in
+  match Minicaml.Stages.extract table (P.program src) with
+  | Ok _ -> Alcotest.fail "an unregistered external must be rejected"
+  | Error msg ->
+      Alcotest.(check string) "located at the declaration"
+        "skeleton extraction: evaluating globals: external ccl_bandx is not \
+         registered in the function table (at line 3, column 1)"
+        msg
+
 let test_extract_errors () =
   let fails table src =
     try
@@ -631,6 +650,8 @@ let () =
           Alcotest.test_case "scm lambda main" `Quick test_extract_scm_lambda_main;
           Alcotest.test_case "wrapper registration" `Quick test_extract_wrapper_registration;
           Alcotest.test_case "errors" `Quick test_extract_errors;
+          Alcotest.test_case "unregistered external located" `Quick
+            test_extract_unregistered_external_located;
           Alcotest.test_case "IR vs evaluator emulation" `Quick test_extract_emulation_agree;
         ] );
     ]

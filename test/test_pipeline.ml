@@ -63,7 +63,7 @@ let test_emulate_and_execute_agree () =
   Alcotest.(check bool) "expected sum of squares" true (V.equal emulated (V.Int 91));
   List.iter
     (fun strategy ->
-      let r = P.execute ~strategy ~input c (Archi.ring 4) in
+      let _, r = P.execute ~strategy ~input c (Archi.ring 4) in
       Alcotest.(check bool) "strategy agrees" true (V.equal emulated r.Executive.value))
     (Syndex.Mapper.names ())
 
@@ -126,7 +126,7 @@ let test_throughput_beats_heft_period () =
      here — a serialised chain drains its last stage's backlog back-to-back,
      so its spacing shows one stage time even at 1/6th the throughput. *)
   let period strategy =
-    let r = P.execute ~strategy ~cost ~input:(V.Int 0) c arch in
+    let _, r = P.execute ~strategy ~cost ~input:(V.Int 0) c arch in
     match List.rev r.Executive.output_times with
     | last :: _ -> last /. float_of_int (List.length r.Executive.output_times)
     | [] -> Alcotest.failf "%s: no outputs" strategy

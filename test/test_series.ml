@@ -12,6 +12,7 @@ module V = Skel.Value
 module Sim = Machine.Sim
 module Dp = Support.Domain_pool
 module S = Skipper_trace.Series
+module H = Support.Histogram
 module E = Skipper_trace.Event
 
 let pool_jobs = Dp.jobs_from_env ~default:4 ()
@@ -22,8 +23,7 @@ let pool_jobs = Dp.jobs_from_env ~default:4 ()
 
 type params = { nworkers : int; nitems : int; frames : int }
 
-let run_farm ?(trace = true) ?(faults = []) ?(restores = []) ?recovery
-    ?input_period p =
+let run_farm ?(trace = true) ?plan ?input_period p =
   let table = Skel.Funtable.create () in
   Skel.Funtable.register table "w" ~cost:(fun _ -> 10_000.0) (fun v -> v);
   Skel.Funtable.register table "k" ~arity:2 ~cost:(fun _ -> 100.0) (fun v ->
@@ -34,7 +34,7 @@ let run_farm ?(trace = true) ?(faults = []) ?(restores = []) ?recovery
   in
   let g = Procnet.Expand.expand table prog in
   let arch = Archi.ring (p.nworkers + 1) in
-  Executive.run ~trace ~faults ~restores ?recovery ~table ~arch
+  Executive.run ~trace ?plan ~table ~arch
     ~placement:(Syndex.Place.canonical g arch)
     ~graph:g ~frames:p.frames ?input_period
     ~input:(V.List (List.init p.nitems (fun i -> V.Int i)))
@@ -54,35 +54,35 @@ let spec_ok s =
 (* Histogram semantics                                                 *)
 
 let test_hist () =
-  let h = S.Hist.create () in
-  Alcotest.(check int) "empty count" 0 (S.Hist.count h);
-  Alcotest.(check (float 0.0)) "empty quantile" 0.0 (S.Hist.quantile h 0.99);
-  Alcotest.(check (float 0.0)) "empty mean" 0.0 (S.Hist.mean h);
-  List.iter (S.Hist.add h) [ 1e-3; 2e-3; 4e-3; 8e-3 ];
-  Alcotest.(check int) "count" 4 (S.Hist.count h);
+  let h = H.create () in
+  Alcotest.(check int) "empty count" 0 (H.count h);
+  Alcotest.(check (float 0.0)) "empty quantile" 0.0 (H.quantile h 0.99);
+  Alcotest.(check (float 0.0)) "empty mean" 0.0 (H.mean h);
+  List.iter (H.add h) [ 1e-3; 2e-3; 4e-3; 8e-3 ];
+  Alcotest.(check int) "count" 4 (H.count h);
   Alcotest.(check (float 1e-12)) "sum is exact, not bucket-quantised" 15e-3
-    (S.Hist.sum h);
-  Alcotest.(check (float 1e-12)) "mean" 3.75e-3 (S.Hist.mean h);
+    (H.sum h);
+  Alcotest.(check (float 1e-12)) "mean" 3.75e-3 (H.mean h);
   (* nearest-rank: q = 0.5 over 4 samples is rank 2, reported as the upper
      bound of the bucket holding 2 ms — conservative by ≤ one ratio (9%) *)
-  let q50 = S.Hist.quantile h 0.5 in
+  let q50 = H.quantile h 0.5 in
   Alcotest.(check bool) "p50 within one bucket of 2 ms" true
     (q50 >= 2e-3 && q50 <= 2e-3 *. 1.1);
-  let q100 = S.Hist.quantile h 1.0 in
+  let q100 = H.quantile h 1.0 in
   Alcotest.(check bool) "p100 covers the max" true
     (q100 >= 8e-3 && q100 <= 8e-3 *. 1.1);
   (* merge is sample concatenation: commutative, and equal to one bulk
      build whatever the insertion order *)
-  let a = S.Hist.create () and b = S.Hist.create () in
-  List.iter (S.Hist.add a) [ 1e-3; 4e-3 ];
-  List.iter (S.Hist.add b) [ 2e-3; 8e-3 ];
-  let ab = S.Hist.merge a b and ba = S.Hist.merge b a in
+  let a = H.create () and b = H.create () in
+  List.iter (H.add a) [ 1e-3; 4e-3 ];
+  List.iter (H.add b) [ 2e-3; 8e-3 ];
+  let ab = H.merge a b and ba = H.merge b a in
   Alcotest.(check bool) "merge commutes" true
-    (S.Hist.buckets ab = S.Hist.buckets ba);
+    (H.buckets ab = H.buckets ba);
   Alcotest.(check bool) "merge equals the bulk build" true
-    (S.Hist.buckets ab = S.Hist.buckets h);
-  Alcotest.(check int) "merged count" 4 (S.Hist.count ab);
-  Alcotest.(check (float 1e-12)) "merged sum" 15e-3 (S.Hist.sum ab)
+    (H.buckets ab = H.buckets h);
+  Alcotest.(check int) "merged count" 4 (H.count ab);
+  Alcotest.(check (float 1e-12)) "merged sum" 15e-3 (H.sum ab)
 
 (* ------------------------------------------------------------------ *)
 (* SLO spec parsing                                                    *)
@@ -315,9 +315,13 @@ let test_fault_window_alerting () =
       .S.Slo.failing_windows;
   let r =
     run_farm ~input_period
-      ~faults:[ (1, halt_at) ]
-      ~restores:[ (1, restore_at) ]
-      ~recovery:(Executive.recovery ~max_strikes:100 5e-3)
+      ~plan:
+        {
+          Executive.no_faults with
+          faults = [ (1, halt_at) ];
+          restores = [ (1, restore_at) ];
+          recovery = Some (Executive.recovery ~max_strikes:100 5e-3);
+        }
       p
   in
   Alcotest.(check bool) "degraded run still completes" true

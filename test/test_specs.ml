@@ -115,7 +115,7 @@ let test_kernel_live_intervals_bounded () =
         let compiled =
           P.compile_source ~frames ~table (read (Filename.concat dir "expgain.mls"))
         in
-        let result =
+        let _, result =
           P.execute ~strategy:"canonical" ?input compiled (Archi.ring 8)
         in
         Machine.Sim.kernel_counters result.Executive.sim
