@@ -1590,6 +1590,8 @@ let micro () =
   let open Bechamel in
   let open Toolkit in
   let img256 = Apps.Ccl_scm.blobs_image ~seed:3 ~nblobs:30 256 256 in
+  (* The tracking workload's frame: 512x512, labelled at the marks' threshold. *)
+  let scene512 = Vision.Scene.frame Vision.Scene.default_params 7 in
   let tracking_src = Tracking.Funcs.source Tracking.Funcs.default_config in
   let tracking_graph =
     let table = Tracking.Funcs.table Tracking.Funcs.default_config in
@@ -1628,6 +1630,11 @@ let micro () =
                (Vision.Scene.frame
                   { Vision.Scene.default_params with Vision.Scene.width = 256; height = 256 }
                   7)));
+      Test.make ~name:"scene-frame-512x512"
+        (Staged.stage (fun () -> ignore (Vision.Scene.frame Vision.Scene.default_params 7)));
+      Test.make ~name:"ccl-label-scene-512x512"
+        (Staged.stage (fun () ->
+             ignore (Vision.Ccl.label ~threshold:Tracking.Detector.mark_threshold scene512)));
       Test.make ~name:"parse+typecheck-tracking"
         (Staged.stage (fun () ->
              let ast = Minicaml.Parser.program tracking_src in

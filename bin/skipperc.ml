@@ -92,12 +92,18 @@ let parse_filter flag s =
          "--%s: bad filter %S (expected all, nth=K, every=K or p=P,seed=S)" flag
          s)
   in
+  (* Split at the first '=' only: the value of p=P,seed=S holds another. *)
+  let key, value =
+    match String.index_opt s '=' with
+    | Some i -> (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
+    | None -> (s, None)
+  in
   try
-    match String.split_on_char '=' s with
-    | [ "all" ] -> Machine.Sim.Always
-    | [ "nth"; k ] -> Machine.Sim.Nth (int_of_string k)
-    | [ "every"; k ] -> Machine.Sim.Every (int_of_string k)
-    | [ "p"; spec ] -> (
+    match (key, value) with
+    | "all", None -> Machine.Sim.Always
+    | "nth", Some k -> Machine.Sim.Nth (int_of_string k)
+    | "every", Some k -> Machine.Sim.Every (int_of_string k)
+    | "p", Some spec -> (
         match String.split_on_char ',' spec with
         | [ p ] -> Machine.Sim.Prob (float_of_string p, 0)
         | [ p; seed ] ->

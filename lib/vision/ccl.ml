@@ -16,79 +16,96 @@ type region = {
   max_y : int;
 }
 
-(* Union-find with path halving and union by rank. *)
+(* Union-find over provisional labels with path halving. A union links the
+   larger root under the smaller, so every parent index is at most its
+   child's. Labels are minted on demand and the arrays grow by doubling, so a
+   labelling pays for the labels it mints, not for its pixel count. *)
 module Uf = struct
-  type t = { parent : int array; rank : int array }
+  type t = { mutable parent : int array; mutable next : int }
 
-  let create n = { parent = Array.init n Fun.id; rank = Array.make n 0 }
+  (* Labels [0, n) exist as singletons; [fresh] mints [n], [n + 1], ... *)
+  let create n = { parent = Array.init (Int.max n 16) Fun.id; next = n }
 
-  let rec find t i =
-    let p = t.parent.(i) in
+  let fresh t =
+    let l = t.next in
+    if l = Array.length t.parent then begin
+      let parent = Array.init (2 * l) Fun.id in
+      Array.blit t.parent 0 parent 0 l;
+      t.parent <- parent
+    end;
+    t.next <- l + 1;
+    l
+
+  let rec find parent i =
+    let p = Array.unsafe_get parent i in
     if p = i then i
     else begin
-      t.parent.(i) <- t.parent.(p);
-      find t t.parent.(i)
+      let gp = Array.unsafe_get parent p in
+      Array.unsafe_set parent i gp;
+      find parent gp
     end
 
   let union t a b =
-    let ra = find t a and rb = find t b in
-    if ra <> rb then
-      if t.rank.(ra) < t.rank.(rb) then t.parent.(ra) <- rb
-      else if t.rank.(ra) > t.rank.(rb) then t.parent.(rb) <- ra
-      else begin
-        t.parent.(rb) <- ra;
-        t.rank.(ra) <- t.rank.(ra) + 1
-      end
+    let ra = find t.parent a and rb = find t.parent b in
+    if ra < rb then t.parent.(rb) <- ra else if rb < ra then t.parent.(ra) <- rb
+
+  (* Each minted label's root. Parents precede children, so one ascending
+     pass resolves every label from its parent's resolved root. *)
+  let roots t =
+    let parent = t.parent in
+    for l = 1 to t.next - 1 do
+      Array.unsafe_set parent l (Array.unsafe_get parent (Array.unsafe_get parent l))
+    done;
+    parent
 end
 
-(* Renumber labels densely, in raster order of each component's first pixel,
-   with 0 reserved for background. [raw] holds provisional labels >= 1. *)
-let densify raw =
-  let remap = Hashtbl.create 64 in
+(* Replace each provisional label [r] of [raw] by its component's dense
+   number: components are numbered from 1 in raster order of their first
+   pixel, 0 stays background. [root.(r)] is [r]'s representative. *)
+let densify raw root =
+  let remap = Array.make (Array.length root) 0 in
   let next = ref 0 in
-  Array.iteri
-    (fun i r ->
-      if r <> 0 then begin
-        match Hashtbl.find_opt remap r with
-        | Some d -> raw.(i) <- d
-        | None ->
-            incr next;
-            Hashtbl.add remap r !next;
-            raw.(i) <- !next
-      end)
-    raw;
+  for i = 0 to Array.length raw - 1 do
+    let r = Array.unsafe_get raw i in
+    if r <> 0 then begin
+      let c = root.(r) in
+      let d = Array.unsafe_get remap c in
+      if d <> 0 then Array.unsafe_set raw i d
+      else begin
+        incr next;
+        Array.unsafe_set remap c !next;
+        Array.unsafe_set raw i !next
+      end
+    end
+  done;
   !next
 
-let label ~threshold img =
-  let w = Image.width img and h = Image.height img in
+let label ~threshold (img : Image.t) =
+  let w = img.width and h = img.height and data = img.data in
   let labels = Array.make (w * h) 0 in
-  let uf = Uf.create ((w * h / 2) + 2) in
-  let next = ref 0 in
-  (* First pass: provisional labels, record equivalences. *)
+  let uf = Uf.create 1 in
+  (* One raster pass over the bytes: provisional labels from the left and
+     upper neighbours, recording equivalences. *)
   for y = 0 to h - 1 do
+    let row = y * w in
     for x = 0 to w - 1 do
-      if Image.get img x y >= threshold then begin
-        let left = if x > 0 then labels.(((y * w) + x) - 1) else 0 in
-        let up = if y > 0 then labels.(((y - 1) * w) + x) else 0 in
+      let i = row + x in
+      if Char.code (Bytes.unsafe_get data i) >= threshold then begin
+        let left = if x > 0 then Array.unsafe_get labels (i - 1) else 0 in
+        let up = if y > 0 then Array.unsafe_get labels (i - w) else 0 in
         let l =
-          match (left, up) with
-          | 0, 0 ->
-              incr next;
-              !next
-          | l, 0 | 0, l -> l
-          | l, u ->
-              if l <> u then Uf.union uf l u;
-              min l u
+          if left = 0 then if up = 0 then Uf.fresh uf else up
+          else if up = 0 || up = left then left
+          else begin
+            Uf.union uf left up;
+            Int.min left up
+          end
         in
-        labels.((y * w) + x) <- l
+        Array.unsafe_set labels i l
       end
     done
   done;
-  (* Second pass: resolve to representatives, then densify. *)
-  for i = 0 to (w * h) - 1 do
-    if labels.(i) <> 0 then labels.(i) <- Uf.find uf labels.(i)
-  done;
-  let ncomponents = densify labels in
+  let ncomponents = densify labels (Uf.roots uf) in
   { labels; width = w; height = h; ncomponents }
 
 let label_flood ~threshold img =
@@ -221,10 +238,7 @@ let merge_bands ~width bands =
         done;
       ignore lab)
     bands;
-  for i = 0 to Array.length labels - 1 do
-    if labels.(i) <> 0 then labels.(i) <- Uf.find uf labels.(i)
-  done;
-  let ncomponents = densify labels in
+  let ncomponents = densify labels (Uf.roots uf) in
   { labels; width; height = total_height; ncomponents }
 
 let pp_region ppf r =

@@ -54,34 +54,51 @@ let mark_centers v =
 
 let mark_radius v = max 2 (int_of_float (4.5 *. v.scale))
 
-let draw_disc img cx cy r v =
+(* The kernels below write [img.data] directly: a frame is rendered for every
+   tracking input, and a bounds check and clamp per pixel cost more than the
+   pixel. Every value written is already in [0, 255]. *)
+
+let draw_disc (img : Image.t) cx cy r v =
   let x0 = int_of_float cx - r and y0 = int_of_float cy - r in
-  for y = y0 to y0 + (2 * r) do
-    for x = x0 to x0 + (2 * r) do
-      if Image.in_bounds img x y then begin
-        let dx = float_of_int x -. cx and dy = float_of_int y -. cy in
-        if (dx *. dx) +. (dy *. dy) <= float_of_int (r * r) then Image.set img x y v
-      end
+  let r2 = float_of_int (r * r) and c = Char.unsafe_chr v in
+  for y = Int.max 0 y0 to Int.min (img.height - 1) (y0 + (2 * r)) do
+    let dy = float_of_int y -. cy and row = y * img.width in
+    for x = Int.max 0 x0 to Int.min (img.width - 1) (x0 + (2 * r)) do
+      let dx = float_of_int x -. cx in
+      if (dx *. dx) +. (dy *. dy) <= r2 then Bytes.unsafe_set img.data (row + x) c
     done
   done
 
-let draw_rect img x0 y0 w h v =
-  for y = y0 to y0 + h - 1 do
-    for x = x0 to x0 + w - 1 do
-      if Image.in_bounds img x y then Image.set img x y v
+(* One clipped [Bytes.fill] per row of the rectangle [x0, x0 + w) x [y0, y0 + h). *)
+let draw_rect (img : Image.t) x0 y0 w h v =
+  let xl = Int.max 0 x0 and xr = Int.min img.width (x0 + w) in
+  if xr > xl then
+    for y = Int.max 0 y0 to Int.min img.height (y0 + h) - 1 do
+      Bytes.fill img.data ((y * img.width) + xl) (xr - xl) (Char.unsafe_chr v)
     done
-  done
 
-let render_background p img t =
+let render_background p (img : Image.t) t =
   (* Vertical luminance gradient (sky to road) plus a faint texture that
-     depends deterministically on position and frame. *)
-  let h = p.height in
+     depends deterministically on position and frame:
+     [base + ((x * 7 + y * 13 + t * 3) mod 11)], in 50..110. Along a row the
+     residue is carried forward (add 7, subtract 11 on wrap) instead of
+     divided out per pixel; a row whose texture sum starts negative (only
+     for negative frame indices) keeps the per-pixel [mod], whose sign
+     follows the sum's. *)
+  let w = p.width and h = p.height and data = img.data in
   for y = 0 to h - 1 do
-    let base = 60 + (40 * y / h) in
-    for x = 0 to p.width - 1 do
-      let texture = (x * 7) + (y * 13) + (t * 3) in
-      Image.set img x y (base + (texture mod 11))
-    done
+    let base = 60 + (40 * y / h) and row = y * w and c = (y * 13) + (t * 3) in
+    if c >= 0 then begin
+      let r = ref (c mod 11) in
+      for x = 0 to w - 1 do
+        Bytes.unsafe_set data (row + x) (Char.unsafe_chr (base + !r));
+        r := if !r >= 4 then !r - 4 else !r + 7
+      done
+    end
+    else
+      for x = 0 to w - 1 do
+        Bytes.unsafe_set data (row + x) (Char.unsafe_chr (base + (((x * 7) + c) mod 11)))
+      done
   done
 
 let render_vehicle img v =
@@ -100,20 +117,29 @@ let render_vehicle img v =
     List.iter (fun (mx, my) -> draw_disc img mx my (mark_radius v) 250) (mark_centers v)
   end
 
-let add_noise p img t =
+let add_noise p (img : Image.t) t =
   if p.noise > 0.0 then begin
     let rng = Support.Prng.create (p.seed + (t * 7919)) in
-    let n = Image.size img in
+    let w = img.width and h = img.height and data = img.data in
     (* Perturb a pseudo-random 20% of pixels; keeps marks distinguishable
        while still exercising threshold robustness. *)
-    for _ = 1 to n / 5 do
-      let x = Support.Prng.int rng (Image.width img)
-      and y = Support.Prng.int rng (Image.height img) in
+    for _ = 1 to w * h / 5 do
+      let x = Support.Prng.int rng w in
+      let y = Support.Prng.int rng h in
       let d = int_of_float (p.noise *. Support.Prng.gaussian rng) in
-      let v = Image.get img x y in
-      (* Never push background pixels into mark range nor marks below it. *)
-      let v' = if v >= 220 then max 220 (v + d) else min 179 (max 0 (v + d)) in
-      Image.set img x y v'
+      let i = (y * w) + x in
+      let v = Char.code (Bytes.unsafe_get data i) in
+      let s = v + d in
+      (* Never push background pixels into mark range nor marks below it;
+         int-only comparisons, as [Stdlib.min]/[max] would compare
+         polymorphically. *)
+      let v' =
+        if v >= 220 then if s < 220 then 220 else if s > 255 then 255 else s
+        else if s < 0 then 0
+        else if s > 179 then 179
+        else s
+      in
+      Bytes.unsafe_set data i (Char.unsafe_chr v')
     done
   end
 
@@ -126,10 +152,13 @@ let frame p t =
 
 let road_frame ?(curvature = 0.0005) ~width ~height t =
   let img = Image.create width height in
-  (* Asphalt with mild texture. *)
+  (* Asphalt with mild texture, [50 + ((x * 3 + y * 5) mod 9)], the residue
+     carried along each row as in [render_background]. *)
   for y = 0 to height - 1 do
+    let r = ref (y * 5 mod 9) and row = y * width in
     for x = 0 to width - 1 do
-      Image.set img x y (50 + (((x * 3) + (y * 5)) mod 9))
+      Bytes.unsafe_set img.data (row + x) (Char.unsafe_chr (50 + !r));
+      r := if !r >= 6 then !r - 6 else !r + 3
     done
   done;
   (* Perspective road: lines converge towards a vanishing point that drifts
@@ -150,10 +179,7 @@ let road_frame ?(curvature = 0.0005) ~width ~height t =
     let draw frac dashed =
       let x = int_of_float (line_at frac y) in
       let on = (not dashed) || (y + (t * 5)) mod 24 < 14 in
-      if on then
-        for dx = -thickness to thickness do
-          if Image.in_bounds img (x + dx) y then Image.set img (x + dx) y 245
-        done
+      if on then draw_rect img (x - thickness) y ((2 * thickness) + 1) 1 245
     in
     draw 0.12 false;
     draw 0.88 false;

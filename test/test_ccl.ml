@@ -14,6 +14,21 @@ let random_binaryish seed density w h =
     img;
   img
 
+(* Both labellers, and a band merge, number components in raster order of
+   their first pixel, so they must agree label for label, not just up to
+   renaming. *)
+let same_labelling (a : C.labelling) (b : C.labelling) =
+  a.C.width = b.C.width && a.C.height = b.C.height
+  && a.C.ncomponents = b.C.ncomponents
+  && a.C.labels = b.C.labels
+
+(* Pixels uniform in [0, 255], so each threshold cuts a different partition. *)
+let random_graded seed w h =
+  let rng = Support.Prng.create seed in
+  let img = I.create w h in
+  I.iter (fun x y _ -> I.set img x y (Support.Prng.int rng 256)) img;
+  img
+
 let test_empty_image () =
   let lab = C.label ~threshold:128 (I.create 8 8) in
   Alcotest.(check int) "no components" 0 lab.C.ncomponents;
@@ -111,9 +126,27 @@ let test_banded_equals_whole () =
     (fun n ->
       let merged = split_label_merge ~threshold:128 img n in
       Alcotest.(check bool)
-        (Printf.sprintf "%d bands equivalent" n)
-        true (C.equivalent whole merged))
+        (Printf.sprintf "%d bands equal" n)
+        true (same_labelling whole merged))
     [ 2; 3; 4; 8 ]
+
+(* The tracking workload's real input, a 512x512 scene frame: at the marks'
+   threshold, and at one that joins the background into large components
+   with many provisional labels to union. *)
+let test_scene_frame_exact () =
+  let img = Vision.Scene.frame Vision.Scene.default_params 17 in
+  List.iter
+    (fun threshold ->
+      let whole = C.label ~threshold img in
+      Alcotest.(check bool)
+        (Printf.sprintf "threshold %d: equals flood fill" threshold)
+        true
+        (same_labelling whole (C.label_flood ~threshold img));
+      Alcotest.(check bool)
+        (Printf.sprintf "threshold %d: 4 bands equal whole" threshold)
+        true
+        (same_labelling whole (split_label_merge ~threshold img 4)))
+    [ 200; 100 ]
 
 let arbitrary_case =
   QCheck.make
@@ -124,19 +157,34 @@ let arbitrary_case =
         (pair (int_range 2 40) (int_range 2 40)))
     ~print:(fun (s, d, w, h) -> Printf.sprintf "seed=%d density=%d %dx%d" s d w h)
 
+let arbitrary_graded =
+  QCheck.make
+    QCheck.Gen.(
+      map3
+        (fun seed threshold (w, h) -> (seed, threshold, w, h))
+        (int_bound 100_000) (int_range 1 255)
+        (pair (int_range 2 40) (int_range 2 40)))
+    ~print:(fun (s, t, w, h) -> Printf.sprintf "seed=%d threshold=%d %dx%d" s t w h)
+
 let prop_union_find_matches_flood =
-  QCheck.Test.make ~name:"two-pass labelling matches flood fill" ~count:120
-    arbitrary_case (fun (seed, density, w, h) ->
-      let img = random_binaryish seed density w h in
-      C.equivalent (C.label ~threshold:128 img) (C.label_flood ~threshold:128 img))
+  QCheck.Test.make ~name:"two-pass labelling matches flood fill" ~count:200
+    arbitrary_graded (fun (seed, threshold, w, h) ->
+      let img = random_graded seed w h in
+      List.for_all
+        (fun threshold ->
+          same_labelling (C.label ~threshold img) (C.label_flood ~threshold img))
+        [ threshold; 1; 128; 255 ])
 
 let prop_banded_matches_whole =
   QCheck.Test.make ~name:"banded merge matches whole-image labelling" ~count:120
-    (QCheck.pair arbitrary_case (QCheck.int_range 1 8))
-    (fun ((seed, density, w, h), n) ->
+    (QCheck.pair arbitrary_graded (QCheck.int_range 1 8))
+    (fun ((seed, threshold, w, h), n) ->
       QCheck.assume (n <= h);
-      let img = random_binaryish seed density w h in
-      C.equivalent (C.label ~threshold:128 img) (split_label_merge ~threshold:128 img n))
+      let img = random_graded seed w h in
+      List.for_all
+        (fun threshold ->
+          same_labelling (C.label ~threshold img) (split_label_merge ~threshold img n))
+        [ threshold; 128 ])
 
 let prop_detect_regions_count =
   QCheck.Test.make ~name:"regions count matches ncomponents" ~count:80 arbitrary_case
@@ -164,6 +212,7 @@ let () =
           Alcotest.test_case "single band identity" `Quick test_merge_bands_trivial;
           Alcotest.test_case "rejects gaps" `Quick test_merge_bands_rejects_gaps;
           Alcotest.test_case "banded equals whole" `Quick test_banded_equals_whole;
+          Alcotest.test_case "512x512 scene frame exact" `Quick test_scene_frame_exact;
         ] );
       ( "properties",
         [

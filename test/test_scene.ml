@@ -100,6 +100,50 @@ let test_vehicles_stay_in_frame () =
       (S.vehicles_at params t)
   done
 
+(* Golden pins: MD5 of the PGM bytes of fixed frames. The scene is the
+   synthetic camera of every tracking run, so its raster must not change when
+   its rendering loops do. *)
+let md5 img = Digest.to_hex (Digest.string (I.to_pgm img))
+
+let check_md5 name expected img = Alcotest.(check string) name expected (md5 img)
+
+let test_golden_default () =
+  List.iter
+    (fun (t, expected) ->
+      check_md5 (Printf.sprintf "default t=%d" t) expected (S.frame S.default_params t))
+    [
+      (0, "4d626df4e5b1046edec19d1a6a1a2f51");
+      (1, "5ab923da16b80c2678feeb955312bb26");
+      (17, "765885495cd33c43e3ab54d61dda0f3a");
+      (250, "41fe7da8e12a58c8d812af3b03286fad");
+    ]
+
+let test_golden_occlusion () =
+  let p = { S.default_params with S.nvehicles = 3; occlusion_period = 10 } in
+  check_md5 "3 vehicles, vehicle 0 hidden" "39bd111a94f4ece768a74d5db229fc79" (S.frame p 2);
+  check_md5 "3 vehicles, all visible" "1373a14d152a9cb4c4cd0fc4f5d61692" (S.frame p 13)
+
+let test_golden_odd_size () =
+  let p = { S.default_params with S.width = 333; height = 197; noise = 9.0; seed = 7 } in
+  check_md5 "333x197 noise 9" "d7c3bab42a345ee66064e48264168ddf" (S.frame p 5)
+
+let test_golden_loud_noise () =
+  let p = { S.default_params with S.noise = 60.0 } in
+  let img = S.frame p 3 in
+  (* Noise this loud reaches every clamp: 0 and 179 for background pixels,
+     220 and 255 for mark pixels pushed down and up. *)
+  let count v = I.fold (fun n p -> if p = v then n + 1 else n) 0 img in
+  List.iter
+    (fun v -> Alcotest.(check bool) (Printf.sprintf "clamped to %d" v) true (count v > 0))
+    [ 0; 179; 220; 255 ];
+  check_md5 "noise 60" "15d54ea9c331355e653a756af2bf7aea" img
+
+let test_golden_road () =
+  check_md5 "road 256x192 t=0" "d63723f2842d55fb3197b6e45a2ae4f1"
+    (S.road_frame ~width:256 ~height:192 0);
+  check_md5 "road 321x240 t=37" "ee2684fd4ffe25b055fc98661ebdb206"
+    (S.road_frame ~curvature:0.002 ~width:321 ~height:240 37)
+
 let prop_noise_preserves_mark_separability =
   QCheck.Test.make ~name:"thresholding survives noise" ~count:30
     QCheck.(pair (int_bound 1000) (int_bound 50))
@@ -132,6 +176,14 @@ let () =
         [
           Alcotest.test_case "road has lines" `Quick test_road_frame_has_lines;
           Alcotest.test_case "road deterministic" `Quick test_road_frame_deterministic;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "default params" `Quick test_golden_default;
+          Alcotest.test_case "occlusion, 3 vehicles" `Quick test_golden_occlusion;
+          Alcotest.test_case "odd size" `Quick test_golden_odd_size;
+          Alcotest.test_case "loud noise" `Quick test_golden_loud_noise;
+          Alcotest.test_case "road frames" `Quick test_golden_road;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_noise_preserves_mark_separability ]);
     ]

@@ -70,6 +70,56 @@ let test_prng_gaussian_moments () =
   Alcotest.(check bool) "mean near 0" true (abs_float mean < 0.05);
   Alcotest.(check bool) "variance near 1" true (abs_float (var -. 1.0) < 0.1)
 
+(* Golden pins: the first outputs of the splitmix64 stream for fixed seeds.
+   Seeded link faults and the benchmark's input generators depend on this
+   exact stream, so any change to the generator's arithmetic must keep them. *)
+let test_prng_golden_bits64 () =
+  let rng = Support.Prng.create 42 in
+  Alcotest.(check (list int64)) "seed 42"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L; 6349198060258255764L ]
+    (List.init 4 (fun _ -> Support.Prng.bits64 rng));
+  Alcotest.(check int64) "negative seed" 1635312068028924514L
+    (Support.Prng.bits64 (Support.Prng.create (-5)))
+
+let test_prng_golden_int () =
+  let draws bound =
+    let rng = Support.Prng.create 7 in
+    List.init 6 (fun _ -> Support.Prng.int rng bound)
+  in
+  Alcotest.(check (list int)) "bound 512" [ 373; 391; 128; 114; 118; 132 ] (draws 512);
+  Alcotest.(check (list int)) "bound 1000" [ 621; 951; 336; 50; 918; 76 ] (draws 1000);
+  Alcotest.(check (list int)) "bound max_int"
+    [
+      1797772400223093621;
+      77422343148738951;
+      4154025436703902336;
+      2688291482075368050;
+      2086519961375180918;
+      1150299863866387076;
+    ]
+    (draws max_int)
+
+let test_prng_golden_float_gaussian () =
+  let floats = Support.Prng.create 9 and gauss = Support.Prng.create 10 in
+  Alcotest.(check (list (float 0.0))) "float"
+    [ 0x1.5d5ea5fd7ce0cp-1; 0x1.805b14bd0f5fdp-1; 0x1.0fb0af9512d62p-2; 0x1.91d319ad2e62cp-1 ]
+    (List.init 4 (fun _ -> Support.Prng.float floats 1.0));
+  Alcotest.(check (list (float 0.0))) "gaussian"
+    [ -0x1.05ef446ec897fp-2; 0x1.196cc26d085d1p+0; 0x1.0ea6ef1f0387cp-1; 0x1.31ae2e9ec40dcp-3 ]
+    (List.init 4 (fun _ -> Support.Prng.gaussian gauss))
+
+let test_prng_golden_split_copy () =
+  let a = Support.Prng.create 11 in
+  let b = Support.Prng.split a in
+  Alcotest.(check int64) "parent after split" 4839782808629744545L (Support.Prng.bits64 a);
+  Alcotest.(check int64) "split child" (-7926430521640997682L) (Support.Prng.bits64 b);
+  let a = Support.Prng.create 12 in
+  ignore (Support.Prng.bits64 a);
+  let c = Support.Prng.copy a in
+  ignore (Support.Prng.bits64 a);
+  Alcotest.(check int64) "copy" (-1116705624757328809L) (Support.Prng.bits64 c);
+  Alcotest.(check int64) "original after copy" 4330166885954844398L (Support.Prng.bits64 a)
+
 let test_prng_shuffle_permutation () =
   let rng = Support.Prng.create 11 in
   let a = Array.init 50 Fun.id in
@@ -462,6 +512,10 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
           Alcotest.test_case "gaussian moments" `Slow test_prng_gaussian_moments;
           Alcotest.test_case "shuffle is a permutation" `Quick test_prng_shuffle_permutation;
+          Alcotest.test_case "golden bits64" `Quick test_prng_golden_bits64;
+          Alcotest.test_case "golden int" `Quick test_prng_golden_int;
+          Alcotest.test_case "golden float and gaussian" `Quick test_prng_golden_float_gaussian;
+          Alcotest.test_case "golden split and copy" `Quick test_prng_golden_split_copy;
         ] );
       ( "pqueue",
         [
